@@ -1,21 +1,24 @@
 """Partition all labelings of a fixed pseudograph into isotemporal classes.
 
-Two independent routes are provided and compared:
+Two independent routes, which coincide on every pseudograph:
 
 * brute force: group canonical labelings by the orbit of their
-  temporal-path set under the edge automorphism group (the direct reading
-  of temporal isomorphism restricted to one graph);
-* swap closure: breadth-first closure of canonical labelings under
-  transpositions of consecutive labels carried by non-adjacent edges.
+  temporal-path set under the edge automorphism group;
+* swap closure: close canonical labelings under transpositions of
+  consecutive labels on non-adjacent edges, plus automorphisms.
 
-Swap closure always refines the brute-force partition; the two coincide
-for diasters and stem structures, and compare_partitions probes the
-question empirically for everything else.
+Why they coincide: the path set is a function of the labeling's
+orientation of the line graph (adjacent edges point from lower label to
+higher), and its length-2 paths recover that orientation.  The labelings
+with one orientation are its linear extensions, connected by swapping
+consecutive incomparable elements, i.e. labels on non-adjacent edges.
+compare_partitions still cross-checks the two routes at run time.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,40 +144,37 @@ def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
 
 @functools.lru_cache(maxsize=None)
 def _swap_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # Key: the line-graph orientation, one bit per adjacent pair.  Each
+    # class's automorphism images are keyed once; later members hit.
     reps = canonical_label_vectors(g)
     if len(reps) == 1:
         return ((reps[0],),)
     group = edge_automorphism_group(g).elements
+    pairs = sorted(adjacency(g).pairs)
+    lows, highs = [i for i, _ in pairs], [j for _, j in pairs]
 
-    def canon(vec: tuple[int, ...]) -> tuple[int, ...]:
-        raw = bytes(vec)
-        return tuple(min(bytes(map(raw.__getitem__, p)) for p in group))
+    def key(vec: tuple[int, ...]) -> bytes:
+        return bytes(map(operator.lt, map(vec.__getitem__, lows), map(vec.__getitem__, highs)))
 
-    unvisited = set(reps)
-    blocks = []
-    for seed in reps:
-        if seed not in unvisited:
-            continue
-        block = []
-        frontier = [seed]
-        unvisited.discard(seed)
-        while frontier:
-            vec = frontier.pop()
-            block.append(vec)
-            for neighbor in swap_neighbors(TemporalNetwork(g, vec)):
-                cvec = canon(neighbor.labeling)
-                if cvec in unvisited:
-                    unvisited.discard(cvec)
-                    frontier.append(cvec)
-        blocks.append(block)
-    return _finish_blocks(blocks)
+    class_of_key: dict[bytes, int] = {}
+    buckets: list[list[tuple[int, ...]]] = []
+    for vec in reps:
+        class_id = class_of_key.get(key(vec))
+        if class_id is None:
+            class_id = len(buckets)
+            buckets.append([])
+            for p in group:
+                class_of_key.setdefault(key(tuple(map(vec.__getitem__, p))), class_id)
+        buckets[class_id].append(vec)
+    return _finish_blocks(buckets)
 
 
 def swap_closure_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ClassPartition:
     """Orbits of canonical labelings under legal swaps plus automorphisms.
 
-    A transition applies one swap move and re-canonicalizes, which folds
-    label isomorphism into the orbit computation.
+    Legal swaps (swap_neighbors) join exactly the labelings with one
+    line-graph orientation, so labelings are grouped by orientation up to
+    automorphism.  The result equals brute_force_classes on every graph.
     """
     _check_limit(g, limit)
     return ClassPartition(g, _swap_blocks(g), METHOD_SWAP)

@@ -9,6 +9,7 @@ ISOTEMP_HARD_CAP environment variable may lower (never raise) the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -349,8 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first run, not at import
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -154,14 +154,12 @@ class AdjacencyRelation:
             return False
         return ((i, j) if i < j else (j, i)) in self.pairs
 
+    @cached_property
+    def _neighbor_map(self) -> dict[int, frozenset[int]]:
+        return {i: frozenset(b if a == i else a for a, b in self.pairs if i in (a, b)) for i in range(self.edge_count)}
+
     def neighbors(self, i: int) -> frozenset[int]:
-        out = set()
-        for a, b in self.pairs:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return frozenset(out)
+        return self._neighbor_map.get(i, frozenset())
 
 
 @functools.lru_cache(maxsize=None)

@@ -78,9 +78,6 @@ class EdgePermutationGroup:
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.elements)
 
-    def __contains__(self, perm: tuple[int, ...]) -> bool:
-        return perm in set(self.elements)
-
 
 def _profile(g: Pseudograph, v: int) -> tuple[int, int]:
     return (g.degree(v), g.loop_count(v))

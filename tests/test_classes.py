@@ -1,18 +1,21 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isotemporal import (
     Beachball,
     Cycle,
     Daisy,
     Diaster,
+    Pseudograph,
     Star,
     Stem,
     TemporalNetwork,
     brute_force_classes,
     build_network,
     canonical_label_vectors,
+    canonical_labeling,
     compare_partitions,
     edge_automorphism_group,
     generate,
@@ -180,6 +183,53 @@ def test_block_sizes_sum_to_free_action_count():
         expected = math.factorial(g.edge_count) // edge_automorphism_group(g).order
         for partition in (brute_force_classes(g), swap_closure_classes(g)):
             assert sum(partition.block_sizes) == expected
+
+
+def swap_bfs_partition(g):
+    """Reference swap closure: breadth-first search over canonical labelings,
+    one swap_neighbors move then re-canonicalisation per step."""
+    unvisited = set(canonical_label_vectors(g))
+    blocks = []
+    for seed in canonical_label_vectors(g):
+        if seed not in unvisited:
+            continue
+        unvisited.discard(seed)
+        block, frontier = [], [seed]
+        while frontier:
+            vec = frontier.pop()
+            block.append(vec)
+            for neighbor in swap_neighbors(TemporalNetwork(g, vec)):
+                cvec = canonical_labeling(neighbor).labeling
+                if cvec in unvisited:
+                    unvisited.discard(cvec)
+                    frontier.append(cvec)
+        blocks.append(block)
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+@st.composite
+def pseudographs(draw):
+    """Pseudographs on at most 5 vertices and 1..6 edges, loops and parallel
+    edges included; half are closed under the mirror v -> n-1-v, so
+    automorphisms that merge swap orbits are common."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    if draw(st.booleans()):
+        half = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+        pairs = half + [(n - 1 - u, n - 1 - v) for u, v in half]
+    else:
+        pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=6))
+    return Pseudograph.from_edges(n, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=pseudographs())
+@example(g=generate(Cycle(5)))
+@example(g=generate(Cycle(6)))
+def test_swap_closure_matches_swap_bfs_and_brute_force(g):
+    blocks = swap_closure_classes(g).blocks
+    assert blocks == swap_bfs_partition(g)
+    assert blocks == brute_force_classes(g).blocks
 
 
 def test_partitions_are_deterministic():

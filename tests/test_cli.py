@@ -237,3 +237,20 @@ def test_disagreeing_counts_exit_two(capsys, monkeypatch):
     code = run(["count", "--family", "diaster:1,1", "--method", "all"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; no call may leave state behind
+    env = dict(os.environ, PYTHONPATH=SRC)
+    calls = [
+        ["count", "--family", "star:1", "--wat"],
+        ["count", "--family", "diaster:1,2", "--method", "all"],
+        ["classes", "--family", "cycle:5", "--method", "both"],
+        ["verify", "--max-edges", "4", "--no-timing"],
+    ]
+    for argv in calls:
+        in_process = run_capture(capsys, argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "isotemporal", *argv], capture_output=True, text=True, env=env
+        )
+        assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
