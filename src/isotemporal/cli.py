@@ -1,9 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain or usage errors (bad spec, limit
-exceeded), 2 when a verification run finds disagreeing counts.  The
-ISOTEMP_HARD_CAP environment variable may lower (never raise) the
-10-edge hard cap on enumeration.
+exceeded), 2 when a verification run finds disagreeing counts.
 """
 
 from __future__ import annotations
@@ -11,11 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import families, formulas
 from .classes import (
@@ -44,19 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _hard_cap() -> int:
-    raw = os.environ.get("ISOTEMP_HARD_CAP")
-    if raw is None:
-        return HARD_EDGE_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise IsotemporalError(f"ISOTEMP_HARD_CAP must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise IsotemporalError(f"ISOTEMP_HARD_CAP must be >= 1, got {value}")
-    return min(value, HARD_EDGE_CAP)
-
-
 def _load_network(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -83,33 +67,45 @@ class VerificationRow:
     elapsed: dict[str, float]
 
 
-def verify(max_edges: int, limit_cap: Optional[int] = None) -> list[VerificationRow]:
+def cross_check(
+    spec: FamilySpec, methods: Optional[Sequence[str]], limit: int
+) -> tuple[dict[str, Optional[int]], dict[str, float], str]:
+    """Run the named counting routes on spec; None runs every route that applies.
+
+    Returns the counts (None where a route does not cover spec), the
+    seconds per route, and AGREE when every computed count is equal,
+    else DISAGREE.  Route functions are looked up at call time, so that
+    rebinding them (tracing, tests) takes effect.
+    """
+    routes = {
+        "formula": lambda: formulas.family_count(spec).value,
+        "lattice": lambda: formulas.lattice_count(spec.a, spec.b).value if isinstance(spec, Diaster) else None,
+        "brute": lambda: brute_force_classes(generate(spec), limit).class_count,
+        "swap": lambda: swap_closure_classes(generate(spec), limit).class_count,
+    }
+    if methods is None:
+        methods = [m for m in routes if m != "lattice" or isinstance(spec, Diaster)]
+    counts: dict[str, Optional[int]] = {}
+    elapsed: dict[str, float] = {}
+    for method in methods:
+        start = time.perf_counter()
+        counts[method] = routes[method]()
+        elapsed[method] = time.perf_counter() - start
+    computed = [v for v in counts.values() if v is not None]
+    verdict = "AGREE" if all(v == computed[0] for v in computed) else "DISAGREE"
+    return counts, elapsed, verdict
+
+
+def verify(max_edges: int) -> list[VerificationRow]:
     """Cross-check every applicable counting method over the family corpus."""
-    cap = limit_cap if limit_cap is not None else _hard_cap()
-    if max_edges > cap:
-        raise IsotemporalError(f"max-edges {max_edges} exceeds the hard cap {cap}")
+    if max_edges > HARD_EDGE_CAP:
+        raise IsotemporalError(f"max-edges {max_edges} exceeds the hard cap {HARD_EDGE_CAP}")
     rows = []
     for spec in families.enumerate_family_specs(max_edges):
-        elapsed: dict[str, float] = {}
-
-        def timed(name, fn):
-            start = time.perf_counter()
-            value = fn()
-            elapsed[name] = time.perf_counter() - start
-            return value
-
-        formula = timed("formula", lambda: formulas.family_count(spec)).value
-        lattice = None
-        if isinstance(spec, Diaster):
-            lattice = timed("lattice", lambda: formulas.lattice_count(spec.a, spec.b)).value
-        graph = generate(spec)
-        brute = timed("brute", lambda: brute_force_classes(graph, max_edges).class_count)
-        swap = timed("swap", lambda: swap_closure_classes(graph, max_edges).class_count)
-        computed = [v for v in (formula, lattice, brute, swap) if v is not None]
-        if formula is None:
-            verdict = "AGREE-partial" if brute == swap else "DISAGREE"
-        else:
-            verdict = "AGREE" if all(v == computed[0] for v in computed) else "DISAGREE"
+        counts, elapsed, verdict = cross_check(spec, None, max_edges)
+        formula, lattice, brute, swap = map(counts.get, ("formula", "lattice", "brute", "swap"))
+        if verdict == "AGREE" and formula is None:
+            verdict = "AGREE-partial"
         rows.append(VerificationRow(spec_string(spec), formula, lattice, brute, swap, verdict, elapsed))
     return rows
 
@@ -120,25 +116,9 @@ def _print_json(obj) -> None:
 
 def _cmd_count(args) -> int:
     spec = parse_family_spec(args.family)
-    limit = min(args.limit, _hard_cap())
-    counts: dict[str, Optional[int]] = {}
-    methods = ["formula", "lattice", "brute", "swap"] if args.method == "all" else [args.method]
-    for method in methods:
-        if method == "formula":
-            counts["formula"] = formulas.family_count(spec).value
-        elif method == "lattice":
-            if isinstance(spec, Diaster):
-                counts["lattice"] = formulas.lattice_count(spec.a, spec.b).value
-            elif args.method == "lattice":
-                counts["lattice"] = None
-        elif method == "brute":
-            counts["brute"] = brute_force_classes(generate(spec), limit).class_count
-        elif method == "swap":
-            counts["swap"] = swap_closure_classes(generate(spec), limit).class_count
-    verdict = None
-    if args.method == "all":
-        computed = [v for v in counts.values() if v is not None]
-        verdict = "AGREE" if all(v == computed[0] for v in computed) else "DISAGREE"
+    counts, _, verdict = cross_check(spec, None if args.method == "all" else [args.method], args.limit)
+    if args.method != "all":
+        verdict = None
     if args.format == "json":
         payload = {"family": spec_string(spec), "counts": counts}
         if verdict is not None:
@@ -172,15 +152,14 @@ def _cmd_classes(args) -> int:
     else:
         graph = _load_network(args.graph).graph
         name = args.graph
-    limit = min(args.limit, _hard_cap())
     sections = []
     equal = None
     if args.method in ("brute", "both"):
-        sections.append(brute_force_classes(graph, limit))
+        sections.append(brute_force_classes(graph, args.limit))
     if args.method in ("swap", "both"):
-        sections.append(swap_closure_classes(graph, limit))
+        sections.append(swap_closure_classes(graph, args.limit))
     if args.method == "both":
-        equal = compare_partitions(graph, limit).equal
+        equal = compare_partitions(graph, args.limit).equal
     if args.format == "json":
         payload = {"graph": name, "partitions": [_partition_payload(p, args.representatives) for p in sections]}
         if equal is not None:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
-from .classes import METHOD_SIGNATURE, ClassPartition, _check_limit, _finish_blocks
-from .iso import DEFAULT_SEARCH_LIMIT, canonical_label_vectors, edge_automorphism_group
+from .classes import DEFAULT_EDGE_LIMIT, METHOD_SIGNATURE, ClassPartition, _check_limit, _finish_blocks
+from .iso import canonical_label_vectors, edge_automorphism_group
 
 
 class InvalidFamilyError(IsotemporalError):
@@ -286,7 +286,7 @@ def diaster_signature(network: TemporalNetwork) -> DiasterSignature:
     return DiasterSignature(central, k, shape.reflective)
 
 
-def signature_classes(g: Pseudograph, limit: int = 8) -> ClassPartition:
+def signature_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ClassPartition:
     """Partition canonical labelings by signature key (two-sided graphs only)."""
     _check_limit(g, limit)
     recognize_two_sided(g)
@@ -475,16 +475,14 @@ def _adjacency_bijections(g: Pseudograph, h: Pseudograph):
     yield from extend(0)
 
 
-def check_transfer_conditions(
-    g: Pseudograph, h: Pseudograph, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> TransferReport:
+def check_transfer_conditions(g: Pseudograph, h: Pseudograph) -> TransferReport:
     """Search for an edge bijection preserving adjacency both ways, then
     check it conjugates the edge automorphism groups onto each other."""
     if g.edge_count != h.edge_count:
         raise ValueError("graphs must have equal edge counts")
     t = g.edge_count
-    aut_g = edge_automorphism_group(g, search_limit).elements
-    aut_h = set(edge_automorphism_group(h, search_limit).elements)
+    aut_g = edge_automorphism_group(g).elements
+    aut_h = set(edge_automorphism_group(h).elements)
     found_adjacency = False
     for phi in _adjacency_bijections(g, h):
         found_adjacency = True

@@ -36,11 +36,6 @@ class CountResult:
         return self.value is not None
 
 
-def _check_diaster_params(a: int, b: int) -> None:
-    if a < 0 or b < 0 or a + b < 1:
-        raise InvalidFamilyError(f"need a, b >= 0 and a + b >= 1, got ({a}, {b})")
-
-
 def _equal_case(a: int) -> int:
     # (a + 1)(a + 2) is even; assert rather than truncate silently
     total = a * a + 3 * a + 2
@@ -50,7 +45,7 @@ def _equal_case(a: int) -> int:
 
 def diaster_formula(a: int, b: int) -> CountResult:
     """ab + a + b + 1 for a != b, (a^2 + 3a + 2) / 2 for a = b; symmetric."""
-    _check_diaster_params(a, b)
+    Diaster(a, b)  # validates the parameters
     if a == b:
         return CountResult(_equal_case(a), BASIS_EQUAL)
     return CountResult(a * b + a + b + 1, BASIS_UNEQUAL)
@@ -62,7 +57,7 @@ def lattice_count(a: int, b: int) -> CountResult:
     Evaluates the trapezoid (a != b) or reflected triangle (a = b) of
     lattice points; always agrees with diaster_formula.
     """
-    _check_diaster_params(a, b)
+    Diaster(a, b)  # validates the parameters
     if a > b:
         a, b = b, a
     if a == b:

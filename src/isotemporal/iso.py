@@ -24,11 +24,11 @@ from typing import Iterator, Optional
 from .core import IsotemporalError, Pseudograph, TemporalNetwork
 from .paths import edge_sequences
 
-DEFAULT_SEARCH_LIMIT = math.factorial(10)
+SEARCH_LIMIT = math.factorial(10)
 
 
 class SearchLimitError(IsotemporalError):
-    """The vertex-bijection search space exceeds the configured limit."""
+    """The vertex-bijection search space exceeds SEARCH_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,16 @@ def _edge_bijections(g: Pseudograph, h: Pseudograph, vmap: tuple[int, ...]) -> I
         yield tuple(emap)
 
 
-def edge_isomorphisms(
-    g: Pseudograph, h: Pseudograph, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> list[EdgeIsomorphism]:
+def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> list[EdgeIsomorphism]:
     """All consistent pairs between g and h; empty iff not isomorphic.
 
     Sorted by (vertex map, edge map) so output order is schedule-free.
     """
     if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
         return []
-    if math.factorial(g.vertex_count) > search_limit:
+    if math.factorial(g.vertex_count) > SEARCH_LIMIT:
         raise SearchLimitError(
-            f"{g.vertex_count}! vertex bijections exceed the search limit {search_limit}"
+            f"{g.vertex_count}! vertex bijections exceed the search limit {SEARCH_LIMIT}"
         )
     out = []
     for vmap in _vertex_bijections(g, h):
@@ -162,46 +160,38 @@ def _self_isomorphisms(g: Pseudograph) -> tuple[EdgeIsomorphism, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def edge_automorphism_group(g: Pseudograph, search_limit: int = DEFAULT_SEARCH_LIMIT) -> EdgePermutationGroup:
+def edge_automorphism_group(g: Pseudograph) -> EdgePermutationGroup:
     """The group of edge permutations induced by self-isomorphisms of g."""
-    if math.factorial(g.vertex_count) > search_limit:
-        raise SearchLimitError(
-            f"{g.vertex_count}! vertex bijections exceed the search limit {search_limit}"
-        )
     perms = sorted({iso.edge_map for iso in _self_isomorphisms(g)})
     return EdgePermutationGroup(tuple(perms))
 
 
-def _pairs_between(n: TemporalNetwork, m: TemporalNetwork, search_limit: int):
+def _pairs_between(n: TemporalNetwork, m: TemporalNetwork):
     if n.graph == m.graph:
         return _self_isomorphisms(n.graph)
-    return edge_isomorphisms(n.graph, m.graph, search_limit)
+    return edge_isomorphisms(n.graph, m.graph)
 
 
-def label_isomorphism_witness(
-    n: TemporalNetwork, m: TemporalNetwork, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> Optional[EdgeIsomorphism]:
+def label_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Optional[EdgeIsomorphism]:
     """A pair mapping every edge onto an equal-labeled edge, if one exists."""
-    for iso in _pairs_between(n, m, search_limit):
+    for iso in _pairs_between(n, m):
         em = iso.edge_map
         if all(m.labeling[em[e]] == n.labeling[e] for e in range(n.edge_count)):
             return iso
     return None
 
 
-def is_label_isomorphic(n: TemporalNetwork, m: TemporalNetwork, search_limit: int = DEFAULT_SEARCH_LIMIT) -> bool:
-    return label_isomorphism_witness(n, m, search_limit) is not None
+def is_label_isomorphic(n: TemporalNetwork, m: TemporalNetwork) -> bool:
+    return label_isomorphism_witness(n, m) is not None
 
 
-def temporal_isomorphism_witness(
-    n: TemporalNetwork, m: TemporalNetwork, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> Optional[EdgeIsomorphism]:
+def temporal_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Optional[EdgeIsomorphism]:
     """A pair carrying the temporal-path set of n exactly onto that of m.
 
     Image-set equality is equivalent to requiring the forward map to
     preserve all paths of n and the inverse to preserve all paths of m.
     """
-    pairs = _pairs_between(n, m, search_limit)
+    pairs = _pairs_between(n, m)
     if not pairs:
         return None
     paths_n = edge_sequences(n)
@@ -215,8 +205,8 @@ def temporal_isomorphism_witness(
     return None
 
 
-def is_temporal_isomorphic(n: TemporalNetwork, m: TemporalNetwork, search_limit: int = DEFAULT_SEARCH_LIMIT) -> bool:
-    return temporal_isomorphism_witness(n, m, search_limit) is not None
+def is_temporal_isomorphic(n: TemporalNetwork, m: TemporalNetwork) -> bool:
+    return temporal_isomorphism_witness(n, m) is not None
 
 
 def canonical_labeling(n: TemporalNetwork) -> TemporalNetwork:

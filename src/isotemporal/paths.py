@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from .core import IsotemporalError, TemporalNetwork
 
-DEFAULT_PATH_LIMIT = 100_000
+PATH_LIMIT = 100_000
 
 
 class PathLimitError(IsotemporalError):
-    """Enumeration would exceed the configured path-count limit."""
+    """Enumeration would exceed PATH_LIMIT temporal paths."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class TemporalPath:
         return len(self.edge_ids)
 
 
-def _enumerate(network: TemporalNetwork, limit: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _enumerate(network: TemporalNetwork) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Map every temporal-path edge sequence to its minimal witnessing trace."""
     g = network.graph
     labeling = network.labeling
@@ -55,8 +55,8 @@ def _enumerate(network: TemporalNetwork, limit: int) -> dict[tuple[int, ...], tu
         prev = found.get(seq)
         if prev is None:
             found[seq] = trace
-            if len(found) > limit:
-                raise PathLimitError(f"more than {limit} temporal paths")
+            if len(found) > PATH_LIMIT:
+                raise PathLimitError(f"more than {PATH_LIMIT} temporal paths")
         elif trace < prev:
             found[seq] = trace
         for lab, eid, nxt in by_vertex[at]:
@@ -65,16 +65,17 @@ def _enumerate(network: TemporalNetwork, limit: int) -> dict[tuple[int, ...], tu
     return found
 
 
-def temporal_paths(network: TemporalNetwork, limit: int = DEFAULT_PATH_LIMIT) -> frozenset[TemporalPath]:
+def temporal_paths(network: TemporalNetwork) -> frozenset[TemporalPath]:
     """Every temporal path of every length >= 1, with witnessing traces."""
-    return frozenset(TemporalPath(seq, trace) for seq, trace in _enumerate(network, limit).items())
+    return frozenset(TemporalPath(seq, trace) for seq, trace in _enumerate(network).items())
 
 
-def edge_sequences(network: TemporalNetwork, limit: int = DEFAULT_PATH_LIMIT) -> frozenset[tuple[int, ...]]:
-    """Edge-id sequences of all temporal paths (no traces); the fast variant."""
-    return frozenset(_enumerate(network, limit).keys())
+def edge_sequences(network: TemporalNetwork) -> frozenset[tuple[int, ...]]:
+    """Edge-id sequences of all temporal paths; the same enumeration as
+    temporal_paths, with the traces dropped from the result."""
+    return frozenset(_enumerate(network).keys())
 
 
-def max_temporal_path_length(network: TemporalNetwork, limit: int = DEFAULT_PATH_LIMIT) -> int:
+def max_temporal_path_length(network: TemporalNetwork) -> int:
     """Length of the longest temporal path (0 for an edgeless network)."""
-    return max((len(seq) for seq in _enumerate(network, limit)), default=0)
+    return max((len(seq) for seq in _enumerate(network)), default=0)

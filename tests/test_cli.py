@@ -192,18 +192,6 @@ def test_verify_rejects_max_edges_above_cap(capsys):
     assert "hard cap" in err
 
 
-def test_hard_cap_env_lowers_the_cap(tmp_path):
-    env = dict(os.environ, ISOTEMP_HARD_CAP="4", PYTHONPATH=SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "isotemporal", "verify", "--max-edges", "6"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == EXIT_ERROR
-    assert "hard cap" in proc.stderr
-
-
 def test_cli_entry_point_via_interpreter():
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -254,3 +242,37 @@ def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
             [sys.executable, "-m", "isotemporal", *argv], capture_output=True, text=True, env=env
         )
         assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_count_and_verify_keep_their_output_contract(capsys):
+    # verify6.json is the output of the pre-merge verify and count code paths
+    code, out, err = run_capture(capsys, ["verify", "--max-edges", "6", "--format", "json", "--no-timing"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (FIXTURES / "verify6.json").read_text(encoding="utf-8")
+
+    def count_json(family, method):
+        code, out, _ = run_capture(capsys, ["count", "--family", family, "--method", method, "--format", "json"])
+        assert code == EXIT_OK
+        return json.loads(out)
+
+    assert count_json("diaster:1,2", "all") == {
+        "family": "diaster:1,2",
+        "counts": {"formula": 6, "lattice": 6, "brute": 6, "swap": 6},
+        "verdict": "AGREE",
+    }
+    assert count_json("star:3", "all") == {
+        "family": "star:3",
+        "counts": {"formula": 1, "brute": 1, "swap": 1},
+        "verdict": "AGREE",
+    }
+    assert count_json("cycle:5", "all") == {
+        "family": "cycle:5",
+        "counts": {"formula": None, "brute": 3, "swap": 3},
+        "verdict": "AGREE",
+    }
+    assert count_json("star:3", "lattice") == {"family": "star:3", "counts": {"lattice": None}}
+    assert run_capture(capsys, ["count", "--family", "star:3", "--method", "lattice"]) == (
+        EXIT_OK,
+        "not-covered\n",
+        "",
+    )

@@ -89,8 +89,12 @@ def test_group_axioms_hold_extensionally():
 
 
 def test_search_limit_guard():
+    # 11 vertices: 11! bijections exceed SEARCH_LIMIT, so both raise before any search
+    g = generate(Star(10))
     with pytest.raises(SearchLimitError):
-        edge_isomorphisms(generate(Star(5)), generate(Star(5)), search_limit=10)
+        edge_isomorphisms(g, g)
+    with pytest.raises(SearchLimitError):
+        edge_automorphism_group(g)
 
 
 # -- label isomorphism -------------------------------------------------------

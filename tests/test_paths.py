@@ -105,6 +105,7 @@ def test_subpath_closure():
 
 
 def test_path_limit_guard():
-    n = _net(Daisy(5), [1, 2, 3, 4, 5])
+    # 17 loops on one vertex: 2**17 - 1 paths, more than PATH_LIMIT
+    n = _net(Daisy(17), range(1, 18))
     with pytest.raises(PathLimitError):
-        temporal_paths(n, limit=10)
+        temporal_paths(n)
