@@ -82,14 +82,6 @@ def _finish_blocks(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _edge_perm_tables(g: Pseudograph) -> tuple[bytes, ...]:
-    # 256-byte translate tables, one per edge automorphism
-    group = edge_automorphism_group(g).elements
-    t = g.edge_count
-    return tuple(bytes(list(p) + list(range(t, 256))) for p in group)
-
-
-@functools.lru_cache(maxsize=None)
 def _brute_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # Labelings are temporally isomorphic iff their path sets lie in one
     # orbit of the automorphism action; each class's orbit is expanded
@@ -97,7 +89,9 @@ def _brute_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     reps = canonical_label_vectors(g)
     if len(reps) == 1:
         return ((reps[0],),)
-    tables = _edge_perm_tables(g)
+    # 256-byte translate tables, one per edge automorphism
+    tail = list(range(g.edge_count, 256))
+    tables = [bytes(list(p) + tail) for p in edge_automorphism_group(g)]
     class_of_path_set: dict[frozenset[bytes], int] = {}
     buckets: list[list[tuple[int, ...]]] = []
     for vec in reps:

@@ -77,14 +77,15 @@ def cross_check(
     else DISAGREE.  Route functions are looked up at call time, so that
     rebinding them (tracing, tests) takes effect.
     """
+    two_sided = isinstance(spec, Diaster) and spec.a > 0 and spec.b > 0  # D(0, b) is a star
     routes = {
         "formula": lambda: formulas.family_count(spec).value,
-        "lattice": lambda: formulas.lattice_count(spec.a, spec.b).value if isinstance(spec, Diaster) else None,
+        "lattice": lambda: formulas.lattice_count(spec.a, spec.b).value if two_sided else None,
         "brute": lambda: brute_force_classes(generate(spec), limit).class_count,
         "swap": lambda: swap_closure_classes(generate(spec), limit).class_count,
     }
     if methods is None:
-        methods = [m for m in routes if m != "lattice" or isinstance(spec, Diaster)]
+        methods = [m for m in routes if m != "lattice" or two_sided]
     counts: dict[str, Optional[int]] = {}
     elapsed: dict[str, float] = {}
     for method in methods:
@@ -280,6 +281,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    # the type of --limit and --max-edges: a bound below 1 is a usage error
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="isotemporal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -288,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--family", required=True)
     count.add_argument("--method", choices=["formula", "lattice", "brute", "swap", "all"], default="all")
     count.add_argument("--format", choices=["text", "json"], default="text")
-    count.add_argument("--limit", type=int, default=DEFAULT_EDGE_LIMIT)
+    count.add_argument("--limit", type=_positive_int, default=DEFAULT_EDGE_LIMIT)
     count.set_defaults(func=_cmd_count)
 
     cls = sub.add_parser("classes", help="partition labelings into isotemporal classes")
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--method", choices=["brute", "swap", "both"], default="both")
     cls.add_argument("--representatives", action="store_true")
     cls.add_argument("--format", choices=["text", "json"], default="text")
-    cls.add_argument("--limit", type=int, default=DEFAULT_EDGE_LIMIT)
+    cls.add_argument("--limit", type=_positive_int, default=DEFAULT_EDGE_LIMIT)
     cls.set_defaults(func=_cmd_classes)
 
     iso = sub.add_parser("iso", help="test two network files for isomorphism")
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     swapscript.set_defaults(func=_cmd_swapscript)
 
     ver = sub.add_parser("verify", help="cross-check all counting methods over the family corpus")
-    ver.add_argument("--max-edges", type=int, default=6)
+    ver.add_argument("--max-edges", type=_positive_int, default=6)
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--no-timing", action="store_true")
     ver.set_defaults(func=_cmd_verify)

@@ -154,13 +154,6 @@ class AdjacencyRelation:
             return False
         return ((i, j) if i < j else (j, i)) in self.pairs
 
-    @cached_property
-    def _neighbor_map(self) -> dict[int, frozenset[int]]:
-        return {i: frozenset(b if a == i else a for a, b in self.pairs if i in (a, b)) for i in range(self.edge_count)}
-
-    def neighbors(self, i: int) -> frozenset[int]:
-        return self._neighbor_map.get(i, frozenset())
-
 
 @functools.lru_cache(maxsize=None)
 def adjacency(graph: Pseudograph) -> AdjacencyRelation:
@@ -200,9 +193,6 @@ class TemporalNetwork:
     @property
     def edge_count(self) -> int:
         return self.graph.edge_count
-
-    def label_of(self, edge_id: int) -> int:
-        return self.labeling[edge_id]
 
     @cached_property
     def _label_to_edge(self) -> tuple[int, ...]:

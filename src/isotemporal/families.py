@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .classes import DEFAULT_EDGE_LIMIT, METHOD_SIGNATURE, ClassPartition, _check_limit, _finish_blocks
-from .iso import canonical_label_vectors, edge_automorphism_group
+from .iso import _vertex_bijections, canonical_label_vectors, edge_automorphism_group
 
 
 class InvalidFamilyError(IsotemporalError):
@@ -228,10 +228,6 @@ class TwoSidedShape:
     @property
     def left_edge_ids(self) -> range:
         return range(1, self.a + 1)
-
-    @property
-    def right_edge_ids(self) -> range:
-        return range(self.a + 1, self.a + self.b + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,42 +445,22 @@ class TransferReport:
     failed_condition: Optional[str]
 
 
-def _adjacency_bijections(g: Pseudograph, h: Pseudograph):
-    t = g.edge_count
-    adj_g = adjacency(g)
-    adj_h = adjacency(h)
-    deg_g = [len(adj_g.neighbors(e)) for e in range(t)]
-    deg_h = [len(adj_h.neighbors(e)) for e in range(t)]
-    mapping: list[int] = []
-    used = [False] * t
-
-    def extend(i: int):
-        if i == t:
-            yield tuple(mapping)
-            return
-        for cand in range(t):
-            if used[cand] or deg_h[cand] != deg_g[i]:
-                continue
-            if all(adj_g.adjacent(i, j) == adj_h.adjacent(cand, mapping[j]) for j in range(i)):
-                used[cand] = True
-                mapping.append(cand)
-                yield from extend(i + 1)
-                mapping.pop()
-                used[cand] = False
-
-    yield from extend(0)
+def _line_graph(g: Pseudograph) -> Pseudograph:
+    # one vertex per edge of g, joined when the two edges are adjacent
+    return Pseudograph.from_edges(g.edge_count, sorted(adjacency(g).pairs))
 
 
 def check_transfer_conditions(g: Pseudograph, h: Pseudograph) -> TransferReport:
-    """Search for an edge bijection preserving adjacency both ways, then
-    check it conjugates the edge automorphism groups onto each other."""
+    """Search for an edge bijection preserving adjacency both ways (an
+    isomorphism of line graphs), then check it conjugates the edge
+    automorphism groups onto each other."""
     if g.edge_count != h.edge_count:
         raise ValueError("graphs must have equal edge counts")
     t = g.edge_count
     aut_g = edge_automorphism_group(g).elements
     aut_h = set(edge_automorphism_group(h).elements)
     found_adjacency = False
-    for phi in _adjacency_bijections(g, h):
+    for phi in _vertex_bijections(_line_graph(g), _line_graph(h)):
         found_adjacency = True
         if len(aut_g) != len(aut_h):
             break

@@ -97,6 +97,8 @@ def trivial_family_count(spec: FamilySpec) -> CountResult:
 def family_count(spec: FamilySpec) -> CountResult:
     """Route a family spec to its closed formula, if any."""
     if isinstance(spec, Diaster):
+        if spec.a == 0 or spec.b == 0:
+            return CountResult(1, BASIS_SINGLE)  # D(0, b) is a star
         return diaster_formula(spec.a, spec.b)
     if isinstance(spec, Stem):
         return stem_formula(spec)

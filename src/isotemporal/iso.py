@@ -134,13 +134,15 @@ def _edge_bijections(g: Pseudograph, h: Pseudograph, vmap: tuple[int, ...]) -> I
         yield tuple(emap)
 
 
-def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> list[EdgeIsomorphism]:
+@functools.lru_cache(maxsize=None)
+def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> tuple[EdgeIsomorphism, ...]:
     """All consistent pairs between g and h; empty iff not isomorphic.
 
     Sorted by (vertex map, edge map) so output order is schedule-free.
+    Cached: the automorphism group and both witness searches read it.
     """
     if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
-        return []
+        return ()
     if math.factorial(g.vertex_count) > SEARCH_LIMIT:
         raise SearchLimitError(
             f"{g.vertex_count}! vertex bijections exceed the search limit {SEARCH_LIMIT}"
@@ -151,30 +153,19 @@ def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> list[EdgeIsomorphism]:
         for emap in _edge_bijections(g, h, vmap):
             out.append(EdgeIsomorphism(vpairs, emap))
     out.sort(key=lambda iso: (iso.vertex_map, iso.edge_map))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _self_isomorphisms(g: Pseudograph) -> tuple[EdgeIsomorphism, ...]:
-    return tuple(edge_isomorphisms(g, g))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def edge_automorphism_group(g: Pseudograph) -> EdgePermutationGroup:
     """The group of edge permutations induced by self-isomorphisms of g."""
-    perms = sorted({iso.edge_map for iso in _self_isomorphisms(g)})
+    perms = sorted({iso.edge_map for iso in edge_isomorphisms(g, g)})
     return EdgePermutationGroup(tuple(perms))
-
-
-def _pairs_between(n: TemporalNetwork, m: TemporalNetwork):
-    if n.graph == m.graph:
-        return _self_isomorphisms(n.graph)
-    return edge_isomorphisms(n.graph, m.graph)
 
 
 def label_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Optional[EdgeIsomorphism]:
     """A pair mapping every edge onto an equal-labeled edge, if one exists."""
-    for iso in _pairs_between(n, m):
+    for iso in edge_isomorphisms(n.graph, m.graph):
         em = iso.edge_map
         if all(m.labeling[em[e]] == n.labeling[e] for e in range(n.edge_count)):
             return iso
@@ -191,7 +182,7 @@ def temporal_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Opti
     Image-set equality is equivalent to requiring the forward map to
     preserve all paths of n and the inverse to preserve all paths of m.
     """
-    pairs = _pairs_between(n, m)
+    pairs = edge_isomorphisms(n.graph, m.graph)
     if not pairs:
         return None
     paths_n = edge_sequences(n)

@@ -276,3 +276,59 @@ def test_count_and_verify_keep_their_output_contract(capsys):
         "not-covered\n",
         "",
     )
+
+
+def test_one_sided_diasters_agree_on_one_class(capsys):
+    # D(0, b) is a star: one class by every route, and no lattice route
+    for family in ("diaster:0,5", "diaster:3,0"):
+        code, out, _ = run_capture(capsys, ["count", "--family", family, "--method", "all", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "family": family,
+            "counts": {"formula": 1, "brute": 1, "swap": 1},
+            "verdict": "AGREE",
+        }
+        assert run_capture(capsys, ["count", "--family", family, "--method", "lattice"]) == (
+            EXIT_OK,
+            "not-covered\n",
+            "",
+        )
+
+
+def test_bounds_below_one_are_usage_errors(capsys):
+    for argv in (
+        ["verify", "--max-edges", "0"],
+        ["verify", "--max-edges", "-1", "--format", "json"],
+        ["count", "--family", "diaster:1,2", "--limit", "-3"],
+        ["count", "--family", "diaster:1,2", "--method", "formula", "--limit", "0"],
+        ["classes", "--family", "cycle:5", "--limit", "0"],
+    ):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (EXIT_ERROR, ""), argv
+        assert err.startswith("usage error: argument ") and "must be at least 1" in err, argv
+    code, _, err = run_capture(capsys, ["verify", "--max-edges", "x"])
+    assert code == EXIT_ERROR
+    assert "argument --max-edges: invalid int value: 'x'" in err
+
+
+def test_paths_of_generated_stem_with_loops_and_parallel_edges(tmp_path, capsys):
+    # stem:daisy:2/beachball:2: two loops at 0, central edge 0-1, two parallel
+    # edges 1-2; outputs captured from the enumerator that tracked traces
+    net = tmp_path / "stem.net"
+    run_capture(capsys, ["generate", "--family", "stem:daisy:2/beachball:2", "-o", str(net)])
+    code, out, _ = run_capture(capsys, ["paths", str(net)])
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "1 | 0 1", "1 2 | 1 0 0", "1 2 3 | 1 0 0 0", "1 3 | 1 0 0", "1 4 | 0 1 2", "1 4 5 | 0 1 2 1",
+        "1 5 | 0 1 2", "2 | 0 0", "2 3 | 0 0 0", "3 | 0 0", "4 | 1 2", "4 5 | 1 2 1", "5 | 1 2",
+    ]
+    # relabeled so that some traces must start at the larger endpoint
+    net.write_text("vertices: 3\nedges: 5\n0 0 1 3\n1 0 0 4\n2 0 0 5\n3 1 2 1\n4 1 2 2\n", encoding="utf-8")
+    code, out, _ = run_capture(capsys, ["paths", str(net)])
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "1 | 1 2", "1 2 | 1 2 1", "1 2 3 | 1 2 1 0", "1 2 3 4 | 1 2 1 0 0", "1 2 3 4 5 | 1 2 1 0 0 0",
+        "1 2 3 5 | 1 2 1 0 0", "1 3 | 2 1 0", "1 3 4 | 2 1 0 0", "1 3 4 5 | 2 1 0 0 0", "1 3 5 | 2 1 0 0",
+        "2 | 1 2", "2 3 | 2 1 0", "2 3 4 | 2 1 0 0", "2 3 4 5 | 2 1 0 0 0", "2 3 5 | 2 1 0 0",
+        "3 | 0 1", "3 4 | 1 0 0", "3 4 5 | 1 0 0 0", "3 5 | 1 0 0", "4 | 0 0", "4 5 | 0 0 0", "5 | 0 0",
+    ]

@@ -124,3 +124,11 @@ def test_family_count_routing():
     assert family_count(Beachball(4)).value == 1
     assert family_count(Cycle(5)).value is None
     assert family_count(Cycle(5)).basis == BASIS_NOT_COVERED
+
+
+def test_one_sided_diasters_count_as_stars():
+    # D(0, b) is a star with b + 1 edges: one class, not the two-sided formula
+    for spec in (Diaster(0, 1), Diaster(0, 5), Diaster(3, 0)):
+        assert family_count(spec) == family_count(Star(spec.a + spec.b + 1))
+        assert family_count(spec).basis == BASIS_SINGLE
+    assert diaster_formula(0, 5).value == 6  # the arithmetic itself stays pinned

@@ -20,6 +20,7 @@ from isotemporal import (
     generate,
     is_label_isomorphic,
     is_temporal_isomorphic,
+    label_isomorphism_witness,
     temporal_isomorphism_witness,
 )
 from isotemporal.iso import SearchLimitError
@@ -147,6 +148,31 @@ def test_temporal_witness_maps_paths_onto_paths():
     assert iso is not None
     paths_m = edge_sequences(m)
     assert {iso.map_sequence(seq) for seq in edge_sequences(n)} == paths_m
+
+
+def test_witnesses_between_different_graphs_carry_labels_and_paths():
+    # D(1,2) and D(2,1) are isomorphic but not equal; n2 is n with the
+    # labels 1 and 2 swapped on non-adjacent edges
+    g, h = generate(Diaster(1, 2)), generate(Diaster(2, 1))
+    n = TemporalNetwork(g, (3, 2, 1, 4))
+    n2 = TemporalNetwork(g, (3, 1, 2, 4))
+    iso = edge_isomorphisms(g, h)[-1]
+    image = [0] * 4
+    for e in range(4):
+        image[iso.map_edge(e)] = n2.labeling[e]
+    m = TemporalNetwork(h, tuple(image))
+
+    label = label_isomorphism_witness(n2, m)
+    assert label is not None
+    assert all(m.labeling[label.map_edge(e)] == n2.labeling[e] for e in range(4))
+    assert label_isomorphism_witness(n, m) is None
+
+    for source in (n, n2):
+        temporal = temporal_isomorphism_witness(source, m)
+        assert temporal is not None
+        assert {temporal.map_sequence(seq) for seq in edge_sequences(source)} == edge_sequences(m)
+        back = temporal_isomorphism_witness(m, source)
+        assert {back.map_sequence(seq) for seq in edge_sequences(m)} == edge_sequences(source)
 
 
 def test_label_isomorphism_implies_temporal_isomorphism_exhaustively():

@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isotemporal import (
     Beachball,
     Cycle,
     Daisy,
     Diaster,
+    Pseudograph,
     Star,
     TemporalNetwork,
     build_network,
@@ -109,3 +111,40 @@ def test_path_limit_guard():
     n = _net(Daisy(17), range(1, 18))
     with pytest.raises(PathLimitError):
         temporal_paths(n)
+
+
+@st.composite
+def labeled_pseudographs(draw):
+    """Networks on at most 4 vertices and 1..7 edges, loops and parallel edges included."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=7))
+    labels = draw(st.permutations(range(1, len(pairs) + 1)))
+    return TemporalNetwork(Pseudograph.from_edges(n, pairs), tuple(labels))
+
+
+def oracle_paths(network):
+    """Walk every vertex trace with strictly increasing labels; keep the
+    smallest trace per edge sequence."""
+    best = {}
+
+    def walk(seq, trace, last):
+        if seq:
+            best[seq] = min(best.get(seq, trace), trace)
+        for eid, (u, v) in network.graph.edges:
+            lab = network.labeling[eid]
+            for here, there in ((u, v), (v, u)):
+                if lab > last and here == trace[-1]:
+                    walk(seq + (eid,), trace + (there,), lab)
+
+    for v in network.graph.vertices:
+        walk((), (v,), 0)
+    return set(best.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=labeled_pseudographs())
+def test_temporal_paths_match_the_trace_walking_oracle(n):
+    expected = oracle_paths(n)
+    assert {(p.edge_ids, p.trace) for p in temporal_paths(n)} == expected
+    assert edge_sequences(n) == {seq for seq, _ in expected}
