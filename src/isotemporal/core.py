@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+# Most vertices a network file may declare.  Far above what any search here
+# handles, yet small enough that a mistyped count cannot exhaust memory.
+VERTEX_LIMIT = 10_000
+
 
 class IsotemporalError(Exception):
     """Base class for every error raised by this package."""
@@ -248,9 +252,10 @@ def serialize_network(network: TemporalNetwork) -> str:
 def parse_network(text: str) -> TemporalNetwork:
     """Parse the text format produced by serialize_network.
 
-    Blank lines and '#'-prefixed comments are ignored.  Syntax problems
-    raise ParseError with the line number; semantic problems raise the
-    corresponding build_network validation error.
+    Blank lines and '#'-prefixed comments are ignored.  Syntax problems,
+    and a vertex count above VERTEX_LIMIT, raise ParseError with the line
+    number; semantic problems raise the corresponding build_network
+    validation error.
     """
     rows: list[tuple[int, list[str]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -274,6 +279,8 @@ def parse_network(text: str) -> TemporalNetwork:
         return value
 
     n = header(0, "vertices")
+    if n > VERTEX_LIMIT:
+        raise ParseError(rows[0][0], f"'vertices' count {n} exceeds the limit {VERTEX_LIMIT}")
     t = header(1, "edges")
     if len(rows) != 2 + t:
         if len(rows) < 2 + t:

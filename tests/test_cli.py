@@ -332,3 +332,25 @@ def test_paths_of_generated_stem_with_loops_and_parallel_edges(tmp_path, capsys)
         "2 | 1 2", "2 3 | 2 1 0", "2 3 4 | 2 1 0 0", "2 3 4 5 | 2 1 0 0 0", "2 3 5 | 2 1 0 0",
         "3 | 0 1", "3 4 | 1 0 0", "3 4 5 | 1 0 0 0", "3 5 | 1 0 0", "4 | 0 0", "4 5 | 0 0 0", "5 | 0 0",
     ]
+
+
+def test_huge_vertex_count_is_a_parse_error(tmp_path, capsys):
+    net = tmp_path / "huge.net"
+    net.write_text("vertices: 100000000\nedges: 1\n0 0 1 1\n", encoding="utf-8")
+    for command in ("paths", "classes --graph"):
+        code, out, err = run_capture(capsys, command.split() + [str(net)])
+        assert (code, out) == (EXIT_ERROR, ""), command
+        assert err.startswith("error: line 1: 'vertices' count 100000000 exceeds the limit"), command
+        assert "Traceback" not in err
+
+
+def test_eleven_vertex_specs_at_the_cap_answer(capsys):
+    # 11 vertices (star, diaster) or 10 edges on 1 and 2 vertices: each has a
+    # twin-class automorphism group, so no n! search stands in the way
+    for family, classes in (("star:10", 1), ("daisy:10", 1), ("beachball:10", 1), ("diaster:4,5", 30)):
+        argv = ["count", "--family", family, "--method", "all", "--format", "json", "--limit", "10"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (EXIT_OK, ""), family
+        payload = json.loads(out)
+        assert payload["verdict"] == "AGREE", family
+        assert set(payload["counts"].values()) == {classes}, family

@@ -15,6 +15,7 @@ from isotemporal import (
     serialize_network,
 )
 from isotemporal.core import (
+    VERTEX_LIMIT,
     DuplicateLabelError,
     EdgeIdError,
     LabelRangeError,
@@ -162,6 +163,19 @@ def test_parse_syntax_errors_carry_line_numbers():
         parse_network("vertices: 2\nedges: 1\n1 0 1 1\n")
     with pytest.raises(ParseError):
         parse_network("vertices: 2\nedges: 2\n0 0 1 1\n")
+
+
+def test_parse_rejects_vertex_counts_above_the_limit():
+    # refused at the header, before any per-vertex structure is built
+    with pytest.raises(ParseError) as exc:
+        parse_network("vertices: 100000000\nedges: 1\n0 0 1 1\n")
+    assert exc.value.line_no == 1
+    assert str(exc.value) == f"line 1: 'vertices' count 100000000 exceeds the limit {VERTEX_LIMIT}"
+    with pytest.raises(ParseError) as exc:
+        parse_network(f"# header\n\nvertices: {VERTEX_LIMIT + 1}\nedges: 0\n")
+    assert exc.value.line_no == 3
+    n = parse_network(f"vertices: {VERTEX_LIMIT}\nedges: 1\n0 0 1 1\n")
+    assert n.graph.vertex_count == VERTEX_LIMIT
 
 
 def test_round_trip_identity():

@@ -1,14 +1,16 @@
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isotemporal import (
     Beachball,
     Cycle,
     Daisy,
     Diaster,
+    Pseudograph,
     Star,
     TemporalNetwork,
     build_network,
@@ -23,6 +25,7 @@ from isotemporal import (
     label_isomorphism_witness,
     temporal_isomorphism_witness,
 )
+from isotemporal import iso
 from isotemporal.iso import SearchLimitError
 from isotemporal.paths import edge_sequences
 
@@ -90,12 +93,66 @@ def test_group_axioms_hold_extensionally():
 
 
 def test_search_limit_guard():
-    # 11 vertices: 11! bijections exceed SEARCH_LIMIT, so both raise before any search
+    # 11 vertices: the witness search refuses 11! bijections before searching;
+    # the automorphism group of the same star is one twin class and no search
     g = generate(Star(10))
     with pytest.raises(SearchLimitError):
         edge_isomorphisms(g, g)
-    with pytest.raises(SearchLimitError):
-        edge_automorphism_group(g)
+    group = edge_automorphism_group(g)
+    assert group.twin_classes == (tuple(range(10)),)
+    assert group.transversal == (tuple(range(10)),)
+    assert group.order == math.factorial(10)
+
+
+def test_automorphism_search_counts_its_nodes(monkeypatch):
+    # the bound is on the nodes the search visits, not on n!
+    g = generate(Cycle(6))
+    search = edge_automorphism_group.__wrapped__  # past the cache
+    assert search(g).order == 12
+    monkeypatch.setattr(iso, "SEARCH_LIMIT", 20)
+    with pytest.raises(SearchLimitError, match="20 nodes"):
+        search(g)
+
+
+@st.composite
+def _pseudographs(draw):
+    """Random pseudographs (loops, parallel edges, isolated vertices), or
+    disjoint copies of one small component, whose edges can be twins that
+    share no vertex."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+        return Pseudograph.from_edges(n + draw(st.integers(0, 1)), pairs)
+    k = draw(st.integers(1, 3))
+    vertex = st.integers(0, k - 1)
+    component = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+    copies = draw(st.integers(2, 6 // max(k, len(component))))  # at most 7 vertices, 6 edges
+    pairs = [(u + c * k, v + c * k) for c in range(copies) for u, v in component]
+    return Pseudograph.from_edges(copies * k + draw(st.integers(0, 1)), pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_pseudographs(), seed=st.randoms(use_true_random=False))
+@example(g=generate(Cycle(3)), seed=random.Random(0))
+@example(g=Pseudograph.from_edges(6, [(0, 1), (2, 3), (4, 5)]), seed=random.Random(0))
+def test_automorphism_group_matches_the_vertex_bijection_search(g, seed):
+    reference = {i.edge_map for i in edge_isomorphisms(g, g)}
+    group = edge_automorphism_group(g)
+    assert set(group.elements) == reference
+    assert group.elements == tuple(sorted(group.elements))
+    assert group.order == len(group.elements)
+    t = g.edge_count
+    minimal = [
+        vec
+        for vec in itertools.permutations(range(1, t + 1))
+        if all(vec <= tuple(vec[p[e]] for e in range(t)) for p in reference)
+    ]
+    assert canonical_label_vectors(g) == tuple(minimal)
+    labels = list(range(1, t + 1))
+    seed.shuffle(labels)
+    n = TemporalNetwork(g, tuple(labels))
+    assert canonical_labeling(n).labeling == min(tuple(labels[p[e]] for e in range(t)) for p in reference)
 
 
 # -- label isomorphism -------------------------------------------------------
