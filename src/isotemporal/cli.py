@@ -45,7 +45,7 @@ def _load_network(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_network(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IsotemporalError(f"cannot read {path}: {exc}") from None
 
 
@@ -229,8 +229,11 @@ def _cmd_generate(args) -> int:
     network = _identity_network(parse_family_spec(args.family))
     text = serialize_network(network)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise IsotemporalError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text, end="")
     return EXIT_OK

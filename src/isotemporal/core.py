@@ -141,6 +141,36 @@ class Pseudograph:
         pair = (u, v) if u <= v else (v, u)
         return len(self.parallel_classes.get(pair, ()))
 
+    @cached_property
+    def edge_order(self) -> tuple[int, ...]:
+        """The order the isomorphism search binds edges in: component by
+        component, each edge after one it shares a vertex with, so only a
+        component's first edge has two endpoints no earlier edge touches."""
+        order: list[int] = []
+        seen = [False] * self.edge_count
+        for root in range(self.edge_count):
+            if seen[root]:
+                continue
+            seen[root] = True
+            queue = [root]
+            for x in queue:
+                for v in self.endpoints(x):
+                    for y in self.incidence[v]:
+                        if not seen[y]:
+                            seen[y] = True
+                            queue.append(y)
+            order += queue
+        return tuple(order)
+
+    @cached_property
+    def edge_kinds(self) -> tuple[tuple, ...]:
+        """Per edge: loop or not, multiplicity, and the (degree, loop count)
+        of its endpoints, smaller first.  Every isomorphism keeps it."""
+        inc, par = self.incidence, self.parallel_classes
+        loops = {v: len(par.get((v, v), ())) for v in self.vertices}
+        profile = {v: (len(es) + loops[v], loops[v]) for v, es in inc.items()}  # a loop adds 2 to the degree
+        return tuple((u == v, len(par[u, v]), *sorted((profile[u], profile[v]))) for _, (u, v) in self.edges)
+
 
 @dataclass(frozen=True)
 class AdjacencyRelation:

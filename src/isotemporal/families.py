@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .classes import DEFAULT_EDGE_LIMIT, METHOD_SIGNATURE, ClassPartition, _check_limit, _finish_blocks
-from .iso import _vertex_bijections, canonical_label_vectors, edge_automorphism_group
+from .iso import _candidates, _first, canonical_label_vectors, edge_automorphism_group
 
 
 class InvalidFamilyError(IsotemporalError):
@@ -232,20 +232,19 @@ class TwoSidedShape:
 
 @functools.lru_cache(maxsize=None)
 def recognize_two_sided(graph: Pseudograph) -> TwoSidedShape:
-    """Match a graph against every generated diaster / stem layout.
+    """Match a graph against the generated diaster / stem layouts.
 
-    Requires both sides non-empty; a one-sided 'diaster' degenerates into
-    a star whose central edge is not automorphism-invariant, so none of
-    the signature machinery applies to it.
+    Each layout puts edge 0 and the a left edges, and no others, at vertex
+    0, so a is read from the graph.  Both sides must be non-empty; a
+    one-sided 'diaster' is a star whose central edge is not
+    automorphism-invariant, so the signature machinery does not apply.
     """
-    t = graph.edge_count
-    side_types = (Star, Beachball, Daisy)
-    for a in range(1, t - 1 + 1):
-        b = t - 1 - a
-        if b < 1:
-            continue
+    a = len(graph.incidence.get(0, ())) - 1
+    b = graph.edge_count - 1 - a
+    if a >= 1 and b >= 1:
         if graph == generate(Diaster(a, b)):
             return TwoSidedShape(a, b, a == b)
+        side_types = (Star, Beachball, Daisy)
         for left_type in side_types:
             for right_type in side_types:
                 if graph == generate(Stem(left_type(a), right_type(b))):
@@ -446,8 +445,9 @@ class TransferReport:
 
 
 def _line_graph(g: Pseudograph) -> Pseudograph:
-    # one vertex per edge of g, joined when the two edges are adjacent
-    return Pseudograph.from_edges(g.edge_count, sorted(adjacency(g).pairs))
+    # one vertex per edge of g, joined when the two edges are adjacent; a loop
+    # at each vertex, so that the search binds isolated edges in every way
+    return Pseudograph.from_edges(g.edge_count, [(e, e) for e in range(g.edge_count)] + sorted(adjacency(g).pairs))
 
 
 def check_transfer_conditions(g: Pseudograph, h: Pseudograph) -> TransferReport:
@@ -459,19 +459,20 @@ def check_transfer_conditions(g: Pseudograph, h: Pseudograph) -> TransferReport:
     t = g.edge_count
     aut_g = edge_automorphism_group(g).elements
     aut_h = set(edge_automorphism_group(h).elements)
-    found_adjacency = False
-    for phi in _vertex_bijections(_line_graph(g), _line_graph(h)):
-        found_adjacency = True
-        if len(aut_g) != len(aut_h):
-            break
+    lg, lh = _line_graph(g), _line_graph(h)
+    candidates = _candidates(lg.edge_kinds, lh.edge_kinds)
+
+    def conjugates(phi: tuple[int, ...], _) -> bool:
         conjugated = set()
         for p in aut_g:
             image = [0] * t
             for e in range(t):
                 image[phi[e]] = phi[p[e]]
             conjugated.add(tuple(image))
-        if conjugated == aut_h:
-            return TransferReport(True, phi, None)
-    if found_adjacency:
-        return TransferReport(False, None, "edge-automorphisms")
-    return TransferReport(False, None, "edge-adjacency")
+        return conjugated == aut_h
+
+    if len(aut_g) == len(aut_h) and (found := _first(lg, lh, candidates, conjugates, None)):
+        return TransferReport(True, tuple(w for _, w in found.vertex_map), None)
+    if _first(lg, lh, candidates, lambda phi, _: True, None) is None:
+        return TransferReport(False, None, "edge-adjacency")
+    return TransferReport(False, None, "edge-automorphisms")

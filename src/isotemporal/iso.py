@@ -8,20 +8,20 @@ Temporal isomorphism is tested by quantifying over all such pairs and
 demanding the image of the temporal-path set equal the target's path set,
 which makes the relation manifestly symmetric.
 
-The witness search (edge_isomorphisms) is exhaustive over vertex
-bijections with degree/loop-profile pruning; target graphs are desk-scale
-(around ten vertices).
+Every isomorphism question is answered by one edge-driven backtracking
+search (in the spirit of Sims 1970 and McKay 1981): edges pick images of
+their own kind, refined per question (equal label for the label witness),
+and bind endpoints as they go.  Every visited node counts against
+SEARCH_LIMIT.
 
 The edge automorphism group is never stored extensionally.  Edges e and f
 are twins when the transposition (e f) is an automorphism; twinship is an
 equivalence, and the twin subgroup N is a normal product of symmetric
 groups, one per twin class.  The group is held as the twin classes plus
 the transversal T of automorphisms increasing on every twin class, one per
-coset of N, so |Aut| = |T| * prod |C|!.  Both come from one edge-driven
-backtracking search that binds endpoints as it goes (in the spirit of
-Sims 1970 and McKay 1981).  A labeling's canonical form sorts its labels
-inside each twin class and takes the minimum over T; canonical vectors
-are enumerated among the class-sorted vectors only.
+coset of N, so |Aut| = |T| * prod |C|!.  A labeling's canonical form sorts
+its labels inside each twin class and takes the minimum over T; canonical
+vectors are enumerated among the class-sorted vectors only.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ SEARCH_LIMIT = math.factorial(10)
 
 
 class SearchLimitError(IsotemporalError):
-    """A search exceeds SEARCH_LIMIT: n! vertex bijections for the witness
-    search, visited nodes for the automorphism search."""
+    """The isomorphism search visits more than SEARCH_LIMIT nodes."""
 
 
 @dataclass(frozen=True)
@@ -120,148 +119,105 @@ class EdgePermutationGroup:
         return iter(self.elements)
 
 
-def _profile(g: Pseudograph, v: int) -> tuple[int, int]:
-    return (g.degree(v), g.loop_count(v))
+def _candidates(kinds_g: Sequence, kinds_h: Sequence) -> list[Sequence[int]]:
+    """For each edge x of g, the edges y of h with kinds_h[y] == kinds_g[x], increasing."""
+    by_kind: dict = {}
+    for y, kind in enumerate(kinds_h):
+        by_kind.setdefault(kind, []).append(y)
+    return [by_kind.get(kind, ()) for kind in kinds_g]
 
 
-def _vertex_bijections(g: Pseudograph, h: Pseudograph) -> Iterator[tuple[int, ...]]:
-    """Backtracking enumeration of endpoint-multiplicity-preserving bijections."""
-    n = g.vertex_count
-    gprof = [_profile(g, v) for v in g.vertices]
-    hprof = [_profile(h, w) for w in h.vertices]
-    if sorted(gprof) != sorted(hprof):
-        return
-    mapping: list[int] = []
-    used = [False] * n
+def _edge_maps(
+    g: Pseudograph, h: Pseudograph, candidates: Sequence[Sequence[int]], budget: list[int], fits: Optional[Callable]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(vertex map, edge map) pairs of the isomorphisms g -> h with
+    edge map[x] in candidates[x].
 
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(mapping)
-            return
-        for w in h.vertices:
-            if used[w] or hprof[w] != gprof[i]:
-                continue
-            ok = True
-            for u in range(i):
-                if g.multiplicity(i, u) != h.multiplicity(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                used[w] = True
-                mapping.append(w)
-                yield from extend(i + 1)
-                mapping.pop()
-                used[w] = False
-
-    yield from extend(0)
-
-
-def _edge_bijections(g: Pseudograph, h: Pseudograph, vmap: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All edge bijections consistent with a fixed vertex bijection."""
-    classes = sorted(g.parallel_classes.items())
-    image_ids: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for (u, v), g_ids in classes:
-        iu, iv = vmap[u], vmap[v]
-        pair = (iu, iv) if iu <= iv else (iv, iu)
-        h_ids = h.parallel_classes.get(pair, ())
-        if len(h_ids) != len(g_ids):
-            return
-        image_ids.append((g_ids, h_ids))
-    for choice in itertools.product(*(itertools.permutations(h_ids) for _, h_ids in image_ids)):
-        emap = [0] * g.edge_count
-        for (g_ids, _), assigned in zip(image_ids, choice):
-            for src, dst in zip(g_ids, assigned):
-                emap[src] = dst
-        yield tuple(emap)
-
-
-@functools.lru_cache(maxsize=None)
-def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> tuple[EdgeIsomorphism, ...]:
-    """All consistent pairs between g and h; empty iff not isomorphic.
-
-    Sorted by (vertex map, edge map) so output order is schedule-free.
-    Cached: both witness searches read it.
-    """
-    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
-        return ()
-    if math.factorial(g.vertex_count) > SEARCH_LIMIT:
-        raise SearchLimitError(
-            f"{g.vertex_count}! vertex bijections exceed the search limit {SEARCH_LIMIT}"
-        )
-    out = []
-    for vmap in _vertex_bijections(g, h):
-        vpairs = tuple(enumerate(vmap))
-        for emap in _edge_bijections(g, h, vmap):
-            out.append(EdgeIsomorphism(vpairs, emap))
-    out.sort(key=lambda iso: (iso.vertex_map, iso.edge_map))
-    return tuple(out)
-
-
-def _edge_order(g: Pseudograph) -> list[int]:
-    """Edges component by component, each after an edge it shares a vertex
-    with, so only a component's first edge binds two fresh endpoints."""
-    order: list[int] = []
-    seen = [False] * g.edge_count
-    for root in range(g.edge_count):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for x in queue:
-            for v in g.endpoints(x):
-                for y in g.incidence[v]:
-                    if not seen[y]:
-                        seen[y] = True
-                        queue.append(y)
-        order += queue
-    return order
-
-
-def _edge_automorphisms(
-    g: Pseudograph, order: list[int], candidates: Sequence[Sequence[int]], budget: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """Edge maps of the self-isomorphisms of g with map[x] in candidates[x].
-
-    Edge-driven backtracking: edges in ``order`` pick an unused image and
-    bind their endpoints to its endpoints, consistently with the partial
-    vertex map.  A map may be yielded more than once (several vertex maps
-    can induce it).  Each visited node takes one unit of ``budget[0]``.
+    Isolated vertices go to those of h in increasing order.  Then edges in
+    g.edge_order pick an unused image, a loop only a loop, and bind their
+    endpoints consistently with the partial vertex map, kept only if
+    fits(x, vertex map, edge map) holds (-1: not bound yet) unless fits is
+    None.  The stack is explicit, so a long path cannot exhaust Python's.
+    Each visited node takes one unit of ``budget[0]``.
     """
     n, t = g.vertex_count, g.edge_count
-    ends = [pair for _, pair in g.edges]
+    if n != h.vertex_count or t != h.edge_count or not all(candidates):
+        return
+    hends = [pair for _, pair in h.edges]
     vmap, vinv = [-1] * n, [-1] * n
     emap, used = [-1] * t, [False] * t
+    for v, w in zip(*([v for v in f.vertices if not f.incidence[v]] for f in (g, h))):
+        vmap[v], vinv[w] = w, v
 
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == t:
-            yield tuple(emap)
-            return
-        x = order[i]
-        u, v = ends[x]
+    def bind(x: int) -> Iterator[None]:  # binds edge x to each fitting image in turn, unbinding after
+        u, v = g.endpoints(x)
         for y in candidates[x]:
-            if used[y]:
+            w, z = hends[y]
+            if used[y] or (u == v) != (w == z):
                 continue
-            w, z = ends[y]
             for a, b in ((w, z), (z, w)) if w != z else ((w, z),):
                 if vmap[u] not in (-1, a) or vmap[v] not in (-1, b) or vinv[a] not in (-1, u) or vinv[b] not in (-1, v):
                     continue
                 budget[0] -= 1
                 if budget[0] < 0:
-                    raise SearchLimitError(
-                        f"automorphism search of {t} edges exceeds the search limit {SEARCH_LIMIT} nodes"
-                    )
-                bound = []
+                    raise SearchLimitError(f"isomorphism search of {t} edges exceeds the limit of {SEARCH_LIMIT} nodes")
+                fresh = []
                 for s, d in ((u, a), (v, b)):
                     if vmap[s] == -1:
                         vmap[s], vinv[d] = d, s
-                        bound.append(s)
+                        fresh.append(s)
                 emap[x], used[y] = y, True
-                yield from extend(i + 1)
-                used[y] = False
-                for s in bound:
+                if fits is None or fits(x, vmap, emap):
+                    yield
+                emap[x], used[y] = -1, False
+                for s in fresh:
                     vinv[vmap[s]], vmap[s] = -1, -1
 
-    return extend(0)
+    order = g.edge_order
+    stack: list[Iterator] = [iter((None,))]  # a root level with one choice: no edges, one map
+    while stack:
+        for _ in stack[-1]:  # resumes the deepest level
+            if len(stack) > t:
+                yield tuple(vmap), tuple(emap)
+            else:
+                stack.append(bind(order[len(stack) - 1]))
+                break
+        else:
+            stack.pop()
+
+
+def _pair(vmap: tuple[int, ...], emap: tuple[int, ...]) -> EdgeIsomorphism:
+    return EdgeIsomorphism(tuple(enumerate(vmap)), emap)
+
+
+def _first(
+    g: Pseudograph, h: Pseudograph, candidates: Sequence[Sequence[int]], keep: Callable, fits: Optional[Callable]
+) -> Optional[EdgeIsomorphism]:
+    """The first pair in (vertex map, edge map) order that _edge_maps finds
+    and keep accepts; partial maps already placed after an accepted one are cut."""
+    best = None
+
+    def bounded(x: int, vmap: list[int], emap: list[int]) -> bool:
+        ahead = best is None or next((v < w for v, w in zip(vmap, best[0]) if v != w), True)  # -1: unbound
+        return ahead and (fits is None or fits(x, vmap, emap))
+
+    for found in _edge_maps(g, h, candidates, [SEARCH_LIMIT], bounded):
+        if (best is None or found < best) and keep(*found):
+            best = found
+    return None if best is None else _pair(*best)
+
+
+def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> tuple[EdgeIsomorphism, ...]:
+    """All consistent pairs between g and h up to permutations of isolated
+    vertices; empty iff not isomorphic.
+
+    Isolated vertices of g go to those of h in increasing order, so a file
+    declaring many unused vertices costs nothing.  Sorted by (vertex map,
+    edge map) so output order is schedule-free.  Every visited node counts
+    against SEARCH_LIMIT.
+    """
+    found = _edge_maps(g, h, _candidates(g.edge_kinds, h.edge_kinds), [SEARCH_LIMIT], None)
+    return tuple(_pair(*p) for p in sorted(found))
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,17 +230,15 @@ def edge_automorphism_group(g: Pseudograph) -> EdgePermutationGroup:
     class.  Every visited node counts against SEARCH_LIMIT.
     """
     t = g.edge_count
-    order = _edge_order(g)
     budget = [SEARCH_LIMIT]
-    profile = [_profile(g, v) for v in g.vertices]
-    kind = [(u == v, g.multiplicity(u, v), sorted((profile[u], profile[v]))) for _, (u, v) in g.edges]
+    kind = g.edge_kinds
 
     def twins(e: int, f: int) -> bool:
         if kind[e] != kind[f]:
             return False
         pinned = [(x,) for x in range(t)]
         pinned[e], pinned[f] = (f,), (e,)
-        return next(_edge_automorphisms(g, order, pinned, budget), None) is not None
+        return next(_edge_maps(g, g, pinned, budget, None), None) is not None
 
     # twinship is an equivalence, so one test against a class's first edge decides
     classes: list[list[int]] = []
@@ -299,18 +253,17 @@ def edge_automorphism_group(g: Pseudograph) -> EdgePermutationGroup:
     for c in classes:
         for i, e in enumerate(c):
             rank[e], size[e] = i, len(c)
-    increasing = [[y for y in range(t) if (kind[y], rank[y], size[y]) == (kind[x], rank[x], size[x])] for x in range(t)]
-    transversal = sorted(set(_edge_automorphisms(g, order, increasing, budget)))
+    increasing = [(kind[x], rank[x], size[x]) for x in range(t)]
+    transversal = sorted({emap for _, emap in _edge_maps(g, g, _candidates(increasing, increasing), budget, None)})
     return EdgePermutationGroup(tuple(map(tuple, classes)), tuple(transversal))
 
 
 def label_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Optional[EdgeIsomorphism]:
-    """A pair mapping every edge onto an equal-labeled edge, if one exists."""
-    for iso in edge_isomorphisms(n.graph, m.graph):
-        em = iso.edge_map
-        if all(m.labeling[em[e]] == n.labeling[e] for e in range(n.edge_count)):
-            return iso
-    return None
+    """The first pair, in (vertex map, edge map) order, mapping every edge
+    onto an equal-labeled edge, if one exists."""
+    g, h = n.graph, m.graph
+    kinds = [list(zip(f.edge_kinds, lab)) for f, lab in ((g, n.labeling), (h, m.labeling))]
+    return _first(g, h, _candidates(*kinds), lambda vmap, emap: True, None)
 
 
 def is_label_isomorphic(n: TemporalNetwork, m: TemporalNetwork) -> bool:
@@ -318,23 +271,35 @@ def is_label_isomorphic(n: TemporalNetwork, m: TemporalNetwork) -> bool:
 
 
 def temporal_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Optional[EdgeIsomorphism]:
-    """A pair carrying the temporal-path set of n exactly onto that of m.
+    """The first pair, in (vertex map, edge map) order, carrying the
+    temporal-path set of n exactly onto that of m, if one exists.
 
     Image-set equality is equivalent to requiring the forward map to
     preserve all paths of n and the inverse to preserve all paths of m.
+    The search keeps maps carrying length-2 paths onto length-2 paths (an
+    edge goes to one with as many adjacent edges labeled below it, bound
+    adjacent edges keep their label order), and the full path sets are
+    compared on what it finds.
     """
-    pairs = edge_isomorphisms(n.graph, m.graph)
-    if not pairs:
-        return None
-    paths_n = edge_sequences(n)
-    paths_m = edge_sequences(m)
-    if len(paths_n) != len(paths_m):
-        return None
-    for iso in pairs:
-        em = iso.edge_map
-        if all(tuple(em[e] for e in seq) in paths_m for seq in paths_n):
-            return iso
-    return None
+    ln, lm = n.labeling, m.labeling
+
+    def kinds(net: TemporalNetwork) -> tuple[list[set[int]], list[tuple]]:
+        f, lab = net.graph, net.labeling
+        near = [{*f.incidence[u], *f.incidence[v]} - {x} for x, (u, v) in f.edges]
+        return near, [(k, len([z for z in near[x] if lab[z] < lab[x]])) for x, k in enumerate(f.edge_kinds)]
+
+    (near_n, kinds_n), (_, kinds_m) = kinds(n), kinds(m)
+    paths: tuple[frozenset, ...] = ()  # both path sets, once a map is found
+
+    def keeps_order(x: int, vmap: list[int], emap: list[int]) -> bool:
+        return all(emap[z] < 0 or (ln[z] < ln[x]) == (lm[emap[z]] < lm[emap[x]]) for z in near_n[x])
+
+    def carries_paths(vmap: tuple[int, ...], emap: tuple[int, ...]) -> bool:
+        nonlocal paths
+        paths = paths or (edge_sequences(n), edge_sequences(m))
+        return len(paths[0]) == len(paths[1]) and all(tuple(emap[e] for e in seq) in paths[1] for seq in paths[0])
+
+    return _first(n.graph, m.graph, _candidates(kinds_n, kinds_m), carries_paths, keeps_order)
 
 
 def is_temporal_isomorphic(n: TemporalNetwork, m: TemporalNetwork) -> bool:

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -354,3 +356,74 @@ def test_eleven_vertex_specs_at_the_cap_answer(capsys):
         payload = json.loads(out)
         assert payload["verdict"] == "AGREE", family
         assert set(payload["counts"].values()) == {classes}, family
+
+
+def _write_network(path, vertices, pairs, labels):
+    lines = [f"vertices: {vertices}", f"edges: {len(pairs)}"]
+    lines += [f"{e} {u} {v} {lab}" for e, ((u, v), lab) in enumerate(zip(pairs, labels))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_iso_answers_eleven_vertex_networks(tmp_path, capsys):
+    # 11 vertices: more than 10! vertex bijections, yet a small edge-driven search
+    for family in ("star:10", "diaster:4,5"):
+        net = tmp_path / "net.net"
+        run_capture(capsys, ["generate", "--family", family, "-o", str(net)])
+        code, out, err = run_capture(capsys, ["iso", str(net), str(net)])
+        assert (code, err) == (EXIT_OK, ""), family
+        identity = " ".join(f"{e}->{e}" for e in range(10))
+        assert out == f"label-isomorphic: yes\ntemporally-isomorphic: yes\nedge-bijection: {identity}\n", family
+
+
+def test_iso_ignores_declared_but_unused_vertices(tmp_path, capsys):
+    a, b = tmp_path / "a.net", tmp_path / "b.net"
+    _write_network(a, 10_000, [(0, 1), (1, 2)], [1, 2])
+    _write_network(b, 10_000, [(7, 9_999), (5, 7)], [1, 2])
+    code, out, err = run_capture(capsys, ["iso", str(a), str(b)])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "label-isomorphic: yes\ntemporally-isomorphic: yes\nedge-bijection: 0->0 1->1\n"
+
+
+def test_iso_on_many_parallel_edges_finishes(tmp_path, capsys):
+    # 2 * 12! vertex and edge bijections; the search needs only the label order
+    a, b = tmp_path / "a.net", tmp_path / "b.net"
+    _write_network(a, 2, [(0, 1)] * 12, range(1, 13))
+    _write_network(b, 2, [(0, 1)] * 12, range(12, 0, -1))
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["iso", str(a), str(b)])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (EXIT_OK, "")
+    reversal = " ".join(f"{e}->{11 - e}" for e in range(12))
+    assert out == f"label-isomorphic: yes\ntemporally-isomorphic: yes\nedge-bijection: {reversal}\n"
+
+
+def test_iso_on_a_long_path_needs_no_deep_recursion(tmp_path, capsys):
+    # 1 200 edges: a search that recursed once per edge would overflow the stack
+    rng = random.Random(3)
+    labels = list(range(1, 1201))
+    rng.shuffle(labels)
+    pairs = [(i, i + 1) for i in range(1200)]
+    a, b = tmp_path / "a.net", tmp_path / "b.net"
+    _write_network(a, 1201, pairs, labels)
+    _write_network(b, 1201, pairs, labels[::-1])
+    code, out, err = run_capture(capsys, ["iso", str(a), str(b)])
+    assert (code, err) == (EXIT_OK, "")
+    reversal = " ".join(f"{e}->{1199 - e}" for e in range(1200))
+    assert out == f"label-isomorphic: yes\ntemporally-isomorphic: yes\nedge-bijection: {reversal}\n"
+
+
+def test_non_utf8_network_file_is_an_error(tmp_path, capsys):
+    net = tmp_path / "latin1.net"
+    net.write_bytes("# café\nvertices: 2\nedges: 1\n0 0 1 1\n".encode("latin-1"))
+    for command in ("paths", "classes --graph", "iso", "swapscript"):
+        argv = command.split() + [str(net)] * (2 if command in ("iso", "swapscript") else 1)
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (EXIT_ERROR, ""), command
+        assert err.startswith(f"error: cannot read {net}: 'utf-8' codec can't decode"), command
+
+
+def test_generate_into_a_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.net"
+    code, out, err = run_capture(capsys, ["generate", "--family", "star:3", "-o", str(target)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith(f"error: cannot write {target}: ")

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isotemporal import (
     Beachball,
@@ -9,6 +10,7 @@ from isotemporal import (
     Daisy,
     Diaster,
     InvalidFamilyError,
+    Pseudograph,
     NoSwapScriptError,
     Star,
     Stem,
@@ -29,7 +31,8 @@ from isotemporal import (
     signature_classes,
     spec_string,
 )
-from isotemporal.families import NotGeneratedFamilyError, recognize_two_sided
+from isotemporal.families import NotGeneratedFamilyError, TwoSidedShape, recognize_two_sided
+from reference_iso import _vertex_bijections, pseudographs, relabeled
 
 
 # -- generators ---------------------------------------------------------------
@@ -152,6 +155,36 @@ def test_signature_rejects_non_generated_graphs():
     with pytest.raises(NotGeneratedFamilyError):
         # a one-sided diaster degenerates to a star: central edge not invariant
         recognize_two_sided(generate(Star(3)))
+
+
+def _recognized_by_every_layout(graph):
+    # the layout match as it was: every split a + b, every layout of each
+    t = graph.edge_count
+    side_types = (Star, Beachball, Daisy)
+    for a in range(1, t - 1 + 1):
+        b = t - 1 - a
+        if b < 1:
+            continue
+        if graph == generate(Diaster(a, b)):
+            return TwoSidedShape(a, b, a == b)
+        for left_type in side_types:
+            for right_type in side_types:
+                if graph == generate(Stem(left_type(a), right_type(b))):
+                    return TwoSidedShape(a, b, a == b and left_type is right_type)
+    return None
+
+
+def test_recognition_reads_the_split_from_the_graph():
+    one_sided = [Diaster(0, b) for b in range(1, 10)] + [Diaster(a, 0) for a in range(1, 10)]
+    graphs = [generate(s) for s in enumerate_family_specs(10, include_cycles=True) + one_sided]
+    graphs += [Pseudograph.from_edges(0, []), Pseudograph.from_edges(3, [])]
+    for g in graphs:
+        expected = _recognized_by_every_layout(g)
+        if expected is None:
+            with pytest.raises(NotGeneratedFamilyError):
+                recognize_two_sided(g)
+        else:
+            assert recognize_two_sided(g) == expected, g
 
 
 # -- binary swap sequences ------------------------------------------------------
@@ -335,3 +368,54 @@ def test_transfer_witness_conjugates_the_groups():
             image[phi[e]] = phi[p[e]]
         conjugated.add(tuple(image))
     assert conjugated == aut_h
+
+
+def _transfer_by_vertex_bijections(g, h):
+    # check_transfer_conditions as it was, on the line graphs without loops
+    t = g.edge_count
+    aut_g = edge_automorphism_group(g).elements
+    aut_h = set(edge_automorphism_group(h).elements)
+
+    def line(f):
+        return Pseudograph.from_edges(f.edge_count, sorted(adjacency(f).pairs))
+
+    found_adjacency = False
+    for phi in _vertex_bijections(line(g), line(h)):
+        found_adjacency = True
+        if len(aut_g) != len(aut_h):
+            break
+        conjugated = set()
+        for p in aut_g:
+            image = [0] * t
+            for e in range(t):
+                image[phi[e]] = phi[p[e]]
+            conjugated.add(tuple(image))
+        if conjugated == aut_h:
+            return True, phi, None
+    return False, None, "edge-automorphisms" if found_adjacency else "edge-adjacency"
+
+
+_K2_K2_LOOP_LOOP = Pseudograph.from_edges(6, [(0, 1), (2, 3), (4, 4), (5, 5)])
+
+
+def test_transfer_binds_isolated_edges_in_every_way():
+    # every edge is isolated in the line graph; only K2 onto K2 and loop
+    # onto loop conjugates the groups, which an increasing binding misses
+    h = Pseudograph.from_edges(6, [(0, 1), (4, 4), (2, 3), (5, 5)])
+    report = check_transfer_conditions(_K2_K2_LOOP_LOOP, h)
+    assert (report.holds, report.witness, report.failed_condition) == (True, (0, 2, 1, 3), None)
+    assert _transfer_by_vertex_bijections(_K2_K2_LOOP_LOOP, h) == (True, (0, 2, 1, 3), None)
+
+
+@settings(max_examples=90, deadline=None)
+@given(g=pseudographs(), seed=st.randoms(use_true_random=False))
+@example(g=_K2_K2_LOOP_LOOP, seed=random.Random(0))
+def test_transfer_matches_the_vertex_bijection_search(g, seed):
+    # h is g renumbered or another graph with as many edges
+    if seed.random() < 0.5:
+        h, _ = relabeled(g, seed)
+    else:
+        n = seed.randint(1, 6)
+        h = Pseudograph.from_edges(n, [(seed.randrange(n), seed.randrange(n)) for _ in range(g.edge_count)])
+    report = check_transfer_conditions(g, h)
+    assert (report.holds, report.witness, report.failed_condition) == _transfer_by_vertex_bijections(g, h)

@@ -13,6 +13,7 @@ from isotemporal import (
     Pseudograph,
     Star,
     TemporalNetwork,
+    adjacency,
     build_network,
     canonical_label_vectors,
     canonical_labeling,
@@ -28,6 +29,7 @@ from isotemporal import (
 from isotemporal import iso
 from isotemporal.iso import SearchLimitError
 from isotemporal.paths import edge_sequences
+from reference_iso import pseudographs, reference_isomorphisms, relabeled
 
 
 def _net(spec, labels):
@@ -92,16 +94,17 @@ def test_group_axioms_hold_extensionally():
                 assert tuple(p[q[i]] for i in range(t)) in elements
 
 
-def test_search_limit_guard():
-    # 11 vertices: the witness search refuses 11! bijections before searching;
-    # the automorphism group of the same star is one twin class and no search
+def test_search_limit_guard(monkeypatch):
+    # 11 vertices: the 10! pairs of the star exceed a node budget of 20,
+    # while its automorphism group is one twin class and no big search
     g = generate(Star(10))
-    with pytest.raises(SearchLimitError):
-        edge_isomorphisms(g, g)
     group = edge_automorphism_group(g)
     assert group.twin_classes == (tuple(range(10)),)
     assert group.transversal == (tuple(range(10)),)
     assert group.order == math.factorial(10)
+    monkeypatch.setattr(iso, "SEARCH_LIMIT", 20)
+    with pytest.raises(SearchLimitError, match="20 nodes"):
+        edge_isomorphisms(g, g)
 
 
 def test_automorphism_search_counts_its_nodes(monkeypatch):
@@ -114,30 +117,12 @@ def test_automorphism_search_counts_its_nodes(monkeypatch):
         search(g)
 
 
-@st.composite
-def _pseudographs(draw):
-    """Random pseudographs (loops, parallel edges, isolated vertices), or
-    disjoint copies of one small component, whose edges can be twins that
-    share no vertex."""
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 5))
-        vertex = st.integers(0, n - 1)
-        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
-        return Pseudograph.from_edges(n + draw(st.integers(0, 1)), pairs)
-    k = draw(st.integers(1, 3))
-    vertex = st.integers(0, k - 1)
-    component = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
-    copies = draw(st.integers(2, 6 // max(k, len(component))))  # at most 7 vertices, 6 edges
-    pairs = [(u + c * k, v + c * k) for c in range(copies) for u, v in component]
-    return Pseudograph.from_edges(copies * k + draw(st.integers(0, 1)), pairs)
-
-
 @settings(max_examples=150, deadline=None)
-@given(g=_pseudographs(), seed=st.randoms(use_true_random=False))
+@given(g=pseudographs(), seed=st.randoms(use_true_random=False))
 @example(g=generate(Cycle(3)), seed=random.Random(0))
 @example(g=Pseudograph.from_edges(6, [(0, 1), (2, 3), (4, 5)]), seed=random.Random(0))
 def test_automorphism_group_matches_the_vertex_bijection_search(g, seed):
-    reference = {i.edge_map for i in edge_isomorphisms(g, g)}
+    reference = {i.edge_map for i in reference_isomorphisms(g, g)}
     group = edge_automorphism_group(g)
     assert set(group.elements) == reference
     assert group.elements == tuple(sorted(group.elements))
@@ -153,6 +138,95 @@ def test_automorphism_group_matches_the_vertex_bijection_search(g, seed):
     seed.shuffle(labels)
     n = TemporalNetwork(g, tuple(labels))
     assert canonical_labeling(n).labeling == min(tuple(labels[p[e]] for e in range(t)) for p in reference)
+
+
+def _swapped(g, labels, rng):
+    """labels after random swaps of consecutive labels on non-adjacent edges."""
+    labels = list(labels)
+    adj = adjacency(g)
+    for _ in range(len(labels)):
+        edge_of = {lab: e for e, lab in enumerate(labels)}
+        moves = [i for i in range(1, len(labels)) if not adj.adjacent(edge_of[i], edge_of[i + 1])]
+        if not moves:
+            break
+        i = rng.choice(moves)
+        a, b = edge_of[i], edge_of[i + 1]
+        labels[a], labels[b] = labels[b], labels[a]
+    return labels
+
+
+def _first(pairs, keep):
+    return next((p for p in pairs if keep(p)), None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=pseudographs(), seed=st.randoms(use_true_random=False))
+@example(g=Pseudograph.from_edges(4, [(0, 1), (0, 1), (2, 3), (2, 3)]), seed=random.Random(0))
+@example(g=Pseudograph.from_edges(7, [(0, 1), (2, 3), (4, 4), (5, 5)]), seed=random.Random(1))
+def test_edge_driven_search_matches_the_vertex_bijection_search(g, seed):
+    # h is g renumbered (labels carried over, then maybe swapped or
+    # redrawn), g itself, or another graph of the same size
+    t = g.edge_count
+    labels = list(range(1, t + 1))
+    seed.shuffle(labels)
+    mode = seed.randrange(4)
+    if mode == 3:
+        h = Pseudograph.from_edges(
+            g.vertex_count, [(seed.randrange(g.vertex_count), seed.randrange(g.vertex_count)) for _ in range(t)]
+        )
+        image = list(range(1, t + 1))
+        seed.shuffle(image)
+    else:
+        h, eperm = relabeled(g, seed) if mode else (g, list(range(t)))
+        image = [0] * t
+        for e in range(t):
+            image[eperm[e]] = labels[e]
+        if seed.random() < 0.5:
+            image = _swapped(h, image, seed)
+        elif seed.random() < 0.3:
+            seed.shuffle(image)
+    n, m = TemporalNetwork(g, tuple(labels)), TemporalNetwork(h, tuple(image))
+    reference = reference_isomorphisms(g, h)
+
+    isolated = [v for v in g.vertices if not g.incidence[v]]
+
+    def increasing_on_isolated(p):
+        images = [p.map_vertex(v) for v in isolated]
+        return images == sorted(images)
+
+    assert list(edge_isomorphisms(g, h)) == [p for p in reference if increasing_on_isolated(p)]
+
+    def carries_labels(p):
+        return all(m.labeling[p.map_edge(e)] == n.labeling[e] for e in range(t))
+
+    assert label_isomorphism_witness(n, m) == _first(reference, carries_labels)
+
+    temporal = None
+    if reference:
+        paths_n, paths_m = edge_sequences(n), edge_sequences(m)
+        if len(paths_n) == len(paths_m):
+            temporal = _first(reference, lambda p: all(p.map_sequence(seq) in paths_m for seq in paths_n))
+    assert temporal_isomorphism_witness(n, m) == temporal
+
+
+def test_search_sends_loops_only_to_loops():
+    # pinned images that would send an edge onto a loop (or back) would
+    # collapse its two endpoints into one vertex
+    g = Pseudograph.from_edges(3, [(0, 1), (2, 2)])
+    assert list(iso._edge_maps(g, g, [(1,), (0,)], [iso.SEARCH_LIMIT], None)) == []
+    both_orientations = [((0, 1, 2), (0, 1)), ((1, 0, 2), (0, 1))]
+    assert list(iso._edge_maps(g, g, [(0,), (1,)], [iso.SEARCH_LIMIT], None)) == both_orientations
+
+
+def test_isolated_vertices_are_bound_in_increasing_order():
+    # a file may declare thousands of vertices that no edge touches
+    g = Pseudograph.from_edges(10_000, [(0, 1), (1, 2)])
+    h = Pseudograph.from_edges(10_000, [(5, 7), (9_999, 5)])
+    pairs = edge_isomorphisms(g, h)
+    assert [p.edge_map for p in pairs] == [(0, 1), (1, 0)]
+    free = [w for w in range(10_000) if w not in (5, 7, 9_999)]
+    for p in pairs:
+        assert [p.map_vertex(v) for v in range(3, 10_000)] == free
 
 
 # -- label isomorphism -------------------------------------------------------
