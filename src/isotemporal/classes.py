@@ -13,6 +13,14 @@ higher), and its length-2 paths recover that orientation.  The labelings
 with one orientation are its linear extensions, connected by swapping
 consecutive incomparable elements, i.e. labels on non-adjacent edges.
 compare_partitions still cross-checks the two routes at run time.
+
+Both routes index orbit images under the transversal T alone, never all
+of Aut.  T (the automorphisms increasing on every twin class) is a
+subgroup, and Aut = T N.  Adjacency is uniform within and between twin
+classes, so sorting labels inside each class turns a legal swap into a
+legal swap or into no change.  Canonical vectors are class-sorted, and T
+keeps them so.  Hence two canonical vectors have Aut-related orientations
+(equivalently, path sets) iff they have T-related ones.
 """
 
 from __future__ import annotations
@@ -83,15 +91,14 @@ def _finish_blocks(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _brute_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # Labelings are temporally isomorphic iff their path sets lie in one
-    # orbit of the automorphism action; each class's orbit is expanded
-    # once and every image indexed, so later members are a dict hit.
+    # Labelings are temporally isomorphic iff their path sets lie in one orbit;
+    # each class's images under T are indexed once, so later members are a dict hit.
     reps = canonical_label_vectors(g)
     if len(reps) == 1:
         return ((reps[0],),)
-    # 256-byte translate tables, one per edge automorphism
+    # 256-byte translate tables, one per transversal element
     tail = list(range(g.edge_count, 256))
-    tables = [bytes(list(p) + tail) for p in edge_automorphism_group(g)]
+    tables = [bytes(list(p) + tail) for p in edge_automorphism_group(g).transversal]
     class_of_path_set: dict[frozenset[bytes], int] = {}
     buckets: list[list[tuple[int, ...]]] = []
     for vec in reps:
@@ -139,11 +146,11 @@ def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
 @functools.lru_cache(maxsize=None)
 def _swap_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # Key: the line-graph orientation, one bit per adjacent pair.  Each
-    # class's automorphism images are keyed once; later members hit.
+    # class's images under T are keyed once; later members hit.
     reps = canonical_label_vectors(g)
     if len(reps) == 1:
         return ((reps[0],),)
-    group = edge_automorphism_group(g).elements
+    transversal = edge_automorphism_group(g).transversal
     pairs = sorted(adjacency(g).pairs)
     lows, highs = [i for i, _ in pairs], [j for _, j in pairs]
 
@@ -157,7 +164,7 @@ def _swap_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
         if class_id is None:
             class_id = len(buckets)
             buckets.append([])
-            for p in group:
+            for p in transversal:
                 class_of_key.setdefault(key(tuple(map(vec.__getitem__, p))), class_id)
         buckets[class_id].append(vec)
     return _finish_blocks(buckets)

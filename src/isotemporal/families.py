@@ -453,25 +453,23 @@ def _line_graph(g: Pseudograph) -> Pseudograph:
 def check_transfer_conditions(g: Pseudograph, h: Pseudograph) -> TransferReport:
     """Search for an edge bijection preserving adjacency both ways (an
     isomorphism of line graphs), then check it conjugates the edge
-    automorphism groups onto each other."""
+    automorphism groups onto each other: with equal orders, generators (T
+    and swaps of consecutive twins) conjugating into the other suffice."""
     if g.edge_count != h.edge_count:
         raise ValueError("graphs must have equal edge counts")
     t = g.edge_count
-    aut_g = edge_automorphism_group(g).elements
-    aut_h = set(edge_automorphism_group(h).elements)
+    aut_g, aut_h = edge_automorphism_group(g), edge_automorphism_group(h)
+    generators = list(aut_g.transversal) + [
+        tuple(f if x == e else e if x == f else x for x in range(t)) for c in aut_g.twin_classes for e, f in zip(c, c[1:])
+    ]
     lg, lh = _line_graph(g), _line_graph(h)
     candidates = _candidates(lg.edge_kinds, lh.edge_kinds)
 
-    def conjugates(phi: tuple[int, ...], _) -> bool:
-        conjugated = set()
-        for p in aut_g:
-            image = [0] * t
-            for e in range(t):
-                image[phi[e]] = phi[p[e]]
-            conjugated.add(tuple(image))
-        return conjugated == aut_h
+    def conjugates(phi: tuple[int, ...], _) -> bool:  # phi o p o phi^-1 in aut_h for every generator p
+        inverse = sorted(range(t), key=phi.__getitem__)
+        return all([phi[p[e]] for e in inverse] in aut_h for p in generators)
 
-    if len(aut_g) == len(aut_h) and (found := _first(lg, lh, candidates, conjugates, None)):
+    if aut_g.order == aut_h.order and (found := _first(lg, lh, candidates, conjugates, None)):
         return TransferReport(True, tuple(w for _, w in found.vertex_map), None)
     if _first(lg, lh, candidates, lambda phi, _: True, None) is None:
         return TransferReport(False, None, "edge-adjacency")

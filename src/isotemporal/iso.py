@@ -21,7 +21,9 @@ groups, one per twin class.  The group is held as the twin classes plus
 the transversal T of automorphisms increasing on every twin class, one per
 coset of N, so |Aut| = |T| * prod |C|!.  A labeling's canonical form sorts
 its labels inside each twin class and takes the minimum over T; canonical
-vectors are enumerated among the class-sorted vectors only.
+vectors are enumerated among the class-sorted vectors only.  T is itself a
+subgroup (Aut = T ⋉ N), so membership class-sorts a map's images and looks
+the result up in T; ``.elements`` is a derived view the package never builds.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork
-from .paths import edge_sequences
 
 SEARCH_LIMIT = math.factorial(10)
 
@@ -106,17 +107,19 @@ class EdgePermutationGroup:
     @cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """Every element as an edge map, sorted; built on first use."""
-        slots = [e for c in self.twin_classes for e in c]
-        nu_of = _getter(sorted(range(len(slots)), key=slots.__getitem__))
         out = []
         for images in itertools.product(*(itertools.permutations(c) for c in self.twin_classes)):
-            nu = nu_of(tuple(itertools.chain.from_iterable(images)))
-            out.extend(tuple(map(tau.__getitem__, nu)) for tau in self.transversal)
-        out.sort()
-        return tuple(out)
+            nu = dict(zip(itertools.chain(*self.twin_classes), itertools.chain(*images)))
+            out.extend(tuple(tau[nu[e]] for e in range(len(nu))) for tau in self.transversal)
+        return tuple(sorted(out))
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.elements)
+    @cached_property
+    def _transversal_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.transversal)
+
+    def __contains__(self, p: Sequence[int]) -> bool:
+        """p = tau o nu iff sorting p's images inside each twin class gives tau."""
+        return _class_sorted(tuple(p), self.twin_classes) in self._transversal_set
 
 
 def _candidates(kinds_g: Sequence, kinds_h: Sequence) -> list[Sequence[int]]:
@@ -274,12 +277,10 @@ def temporal_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Opti
     """The first pair, in (vertex map, edge map) order, carrying the
     temporal-path set of n exactly onto that of m, if one exists.
 
-    Image-set equality is equivalent to requiring the forward map to
-    preserve all paths of n and the inverse to preserve all paths of m.
-    The search keeps maps carrying length-2 paths onto length-2 paths (an
-    edge goes to one with as many adjacent edges labeled below it, bound
-    adjacent edges keep their label order), and the full path sets are
-    compared on what it finds.
+    The search keeps the label order of every pair of adjacent edges (an
+    edge goes to one with as many adjacent edges labeled below it), which
+    is enough: such a graph isomorphism carries the temporal walks of n
+    onto those of m, and its inverse carries them back.
     """
     ln, lm = n.labeling, m.labeling
 
@@ -289,17 +290,11 @@ def temporal_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Opti
         return near, [(k, len([z for z in near[x] if lab[z] < lab[x]])) for x, k in enumerate(f.edge_kinds)]
 
     (near_n, kinds_n), (_, kinds_m) = kinds(n), kinds(m)
-    paths: tuple[frozenset, ...] = ()  # both path sets, once a map is found
 
     def keeps_order(x: int, vmap: list[int], emap: list[int]) -> bool:
         return all(emap[z] < 0 or (ln[z] < ln[x]) == (lm[emap[z]] < lm[emap[x]]) for z in near_n[x])
 
-    def carries_paths(vmap: tuple[int, ...], emap: tuple[int, ...]) -> bool:
-        nonlocal paths
-        paths = paths or (edge_sequences(n), edge_sequences(m))
-        return len(paths[0]) == len(paths[1]) and all(tuple(emap[e] for e in seq) in paths[1] for seq in paths[0])
-
-    return _first(n.graph, m.graph, _candidates(kinds_n, kinds_m), carries_paths, keeps_order)
+    return _first(n.graph, m.graph, _candidates(kinds_n, kinds_m), lambda vmap, emap: True, keeps_order)
 
 
 def is_temporal_isomorphic(n: TemporalNetwork, m: TemporalNetwork) -> bool:

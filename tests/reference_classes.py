@@ -1,0 +1,65 @@
+"""Orbit indexing over every element of the automorphism group, the
+reference both partition routes are tested against.
+
+These are the brute-force and swap-closure bodies as they were before
+the package indexed the transversal alone: each class's first member has
+its image indexed under every element of ``EdgePermutationGroup.elements``,
+so no argument about the transversal is needed.  They cost classes x
+|Aut| images, which is why they live here and not in the package.
+"""
+
+import operator
+
+from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, edge_automorphism_group, edge_sequences
+
+
+def _finish_blocks(groups):
+    return tuple(sorted(tuple(sorted(b)) for b in groups))
+
+
+def reference_brute_blocks(g):
+    """Canonical labelings grouped by the orbit of their temporal-path set."""
+    reps = canonical_label_vectors(g)
+    if len(reps) == 1:
+        return ((reps[0],),)
+    # 256-byte translate tables, one per edge automorphism
+    tail = list(range(g.edge_count, 256))
+    tables = [bytes(list(p) + tail) for p in edge_automorphism_group(g).elements]
+    class_of_path_set: dict[frozenset[bytes], int] = {}
+    buckets: list[list[tuple[int, ...]]] = []
+    for vec in reps:
+        seqs = frozenset(bytes(seq) for seq in edge_sequences(TemporalNetwork(g, vec)))
+        class_id = class_of_path_set.get(seqs)
+        if class_id is None:
+            class_id = len(buckets)
+            buckets.append([])
+            for table in tables:
+                image = frozenset(seq.translate(table) for seq in seqs)
+                class_of_path_set.setdefault(image, class_id)
+        buckets[class_id].append(vec)
+    return _finish_blocks(buckets)
+
+
+def reference_swap_blocks(g):
+    """Canonical labelings grouped by the orbit of their line-graph orientation."""
+    reps = canonical_label_vectors(g)
+    if len(reps) == 1:
+        return ((reps[0],),)
+    group = edge_automorphism_group(g).elements
+    pairs = sorted(adjacency(g).pairs)
+    lows, highs = [i for i, _ in pairs], [j for _, j in pairs]
+
+    def key(vec: tuple[int, ...]) -> bytes:
+        return bytes(map(operator.lt, map(vec.__getitem__, lows), map(vec.__getitem__, highs)))
+
+    class_of_key: dict[bytes, int] = {}
+    buckets: list[list[tuple[int, ...]]] = []
+    for vec in reps:
+        class_id = class_of_key.get(key(vec))
+        if class_id is None:
+            class_id = len(buckets)
+            buckets.append([])
+            for p in group:
+                class_of_key.setdefault(key(tuple(map(vec.__getitem__, p))), class_id)
+        buckets[class_id].append(vec)
+    return _finish_blocks(buckets)

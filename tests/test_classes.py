@@ -24,6 +24,8 @@ from isotemporal import (
     swap_neighbors,
 )
 from isotemporal.classes import LimitExceededError
+from isotemporal.families import enumerate_family_specs
+from reference_classes import reference_brute_blocks, reference_swap_blocks
 
 
 def pairwise_partition(g):
@@ -230,6 +232,44 @@ def test_swap_closure_matches_swap_bfs_and_brute_force(g):
     blocks = swap_closure_classes(g).blocks
     assert blocks == swap_bfs_partition(g)
     assert blocks == brute_force_classes(g).blocks
+
+
+@st.composite
+def copied_components(draw):
+    """A pseudograph from the strategy above, or 2-4 disjoint copies of a
+    small component (loops and parallel edges included), sometimes with one
+    more edge anywhere: twin classes of pairwise non-adjacent edges are
+    common.  At most 8 edges."""
+    if draw(st.booleans()):
+        return draw(pseudographs())
+    k = draw(st.integers(1, 3))
+    vertex = st.integers(0, k - 1)
+    component = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+    copies = draw(st.integers(2, min(4, 8 // len(component))))
+    pairs = [(u + c * k, v + c * k) for c in range(copies) for u, v in component]
+    n = copies * k + draw(st.integers(0, 1))
+    if len(pairs) < 8 and draw(st.booleans()):
+        pairs.append(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    return Pseudograph.from_edges(n, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=copied_components())
+@example(g=generate(Cycle(4)))
+@example(g=Pseudograph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (2, 5)]))  # C4, pendants at 0 and 2
+@example(g=Pseudograph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]))  # K_{2,3}
+@example(g=generate(Cycle(6)))
+def test_partition_routes_match_indexing_over_every_element(g):
+    # the package indexes orbit images over the transversal only
+    assert brute_force_classes(g).blocks == reference_brute_blocks(g)
+    assert swap_closure_classes(g).blocks == reference_swap_blocks(g)
+
+
+def test_partition_routes_match_indexing_over_every_element_on_family_specs():
+    for spec in enumerate_family_specs(7, include_cycles=True):
+        g = generate(spec)
+        assert brute_force_classes(g).blocks == reference_brute_blocks(g), spec
+        assert swap_closure_classes(g).blocks == reference_swap_blocks(g), spec
 
 
 def test_partitions_are_deterministic():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from isotemporal import Beachball, EdgePermutationGroup, Star, check_transfer_conditions, classes, generate
 from isotemporal.cli import EXIT_ERROR, EXIT_OK, run, verify
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -247,10 +248,11 @@ def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
 
 
 def test_count_and_verify_keep_their_output_contract(capsys):
-    # verify6.json is the output of the pre-merge verify and count code paths
-    code, out, err = run_capture(capsys, ["verify", "--max-edges", "6", "--format", "json", "--no-timing"])
+    # verify8.json is the output of verify before orbits were indexed over
+    # the transversal alone (md5 2c2085892a9a1056a182f392d98166e7)
+    code, out, err = run_capture(capsys, ["verify", "--max-edges", "8", "--format", "json", "--no-timing"])
     assert (code, err) == (EXIT_OK, "")
-    assert out == (FIXTURES / "verify6.json").read_text(encoding="utf-8")
+    assert out == (FIXTURES / "verify8.json").read_text(encoding="utf-8")
 
     def count_json(family, method):
         code, out, _ = run_capture(capsys, ["count", "--family", family, "--method", method, "--format", "json"])
@@ -278,6 +280,30 @@ def test_count_and_verify_keep_their_output_contract(capsys):
         "not-covered\n",
         "",
     )
+
+
+def test_no_command_expands_the_automorphism_group(capsys, monkeypatch):
+    # orbits are indexed over the transversal and the transfer check
+    # conjugates generators, so no path builds the group's element list
+    def expand(group):
+        raise AssertionError("the automorphism group was expanded")
+
+    monkeypatch.setattr(EdgePermutationGroup, "elements", property(expand))
+    classes._brute_blocks.cache_clear()
+    classes._swap_blocks.cache_clear()
+    for family in ("diaster:1,8", "stem:star:8/beachball:1"):
+        argv = ["count", "--family", family, "--method", "all", "--limit", "10", "--format", "json"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (EXIT_OK, ""), family
+        payload = json.loads(out)
+        assert payload["verdict"] == "AGREE" and set(payload["counts"].values()) == {18}, family
+    argv = ["classes", "--method", "both", "--family", "diaster:4,5", "--limit", "10"]
+    assert run_capture(capsys, argv)[0] == EXIT_OK
+    code, out, err = run_capture(capsys, ["verify", "--max-edges", "6", "--format", "json", "--no-timing"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (FIXTURES / "verify6.json").read_text(encoding="utf-8")
+    report = check_transfer_conditions(generate(Star(9)), generate(Beachball(9)))
+    assert (report.holds, report.witness, report.failed_condition) == (True, tuple(range(9)), None)
 
 
 def test_one_sided_diasters_agree_on_one_class(capsys):
@@ -394,6 +420,17 @@ def test_iso_on_many_parallel_edges_finishes(tmp_path, capsys):
     assert time.perf_counter() - start < 10
     assert (code, err) == (EXIT_OK, "")
     reversal = " ".join(f"{e}->{11 - e}" for e in range(12))
+    assert out == f"label-isomorphic: yes\ntemporally-isomorphic: yes\nedge-bijection: {reversal}\n"
+
+
+def test_iso_on_thirty_parallel_edges_reads_no_path_set(tmp_path, capsys):
+    # 2^30 - 1 temporal paths each; keeping the label order of adjacent edges decides it
+    a, b = tmp_path / "a.net", tmp_path / "b.net"
+    _write_network(a, 2, [(0, 1)] * 30, range(1, 31))
+    _write_network(b, 2, [(0, 1)] * 30, range(30, 0, -1))
+    code, out, err = run_capture(capsys, ["iso", str(a), str(b)])
+    assert (code, err) == (EXIT_OK, "")
+    reversal = " ".join(f"{e}->{29 - e}" for e in range(30))
     assert out == f"label-isomorphic: yes\ntemporally-isomorphic: yes\nedge-bijection: {reversal}\n"
 
 

@@ -128,6 +128,7 @@ def test_automorphism_group_matches_the_vertex_bijection_search(g, seed):
     assert group.elements == tuple(sorted(group.elements))
     assert group.order == len(group.elements)
     t = g.edge_count
+    assert all((p in group) == (p in reference) for p in itertools.permutations(range(t)))
     minimal = [
         vec
         for vec in itertools.permutations(range(1, t + 1))
