@@ -188,6 +188,15 @@ class AdjacencyRelation:
             return False
         return ((i, j) if i < j else (j, i)) in self.pairs
 
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Per edge, the edges adjacent to it, increasing."""
+        out: list[list[int]] = [[] for _ in range(self.edge_count)]
+        for i, j in sorted(self.pairs):
+            out[i].append(j)
+            out[j].append(i)
+        return tuple(map(tuple, out))
+
 
 @functools.lru_cache(maxsize=None)
 def adjacency(graph: Pseudograph) -> AdjacencyRelation:

@@ -9,9 +9,10 @@ Diaster(a,b).
 
 The signature of a labeled two-sided graph (central label, count of left
 labels below it) is a complete isotemporal-class invariant, reflected
-when the graph is mirror-symmetric.  Matching signatures always admit a
-script of transpositions of consecutive labels on non-adjacent edges
-taking one labeling onto the other up to label isomorphism.
+when the graph is mirror-symmetric.  Swap scripts need no signature: on
+every pseudograph, two temporally isomorphic networks admit a script of
+transpositions of consecutive labels on non-adjacent edges taking one
+labeling onto the other up to label isomorphism.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .classes import DEFAULT_EDGE_LIMIT, METHOD_SIGNATURE, ClassPartition, _check_limit, _finish_blocks
-from .iso import _candidates, _first, canonical_label_vectors, edge_automorphism_group
+from .iso import _candidates, _first, canonical_label_vectors, edge_automorphism_group, temporal_isomorphism_witness
 
 
 class InvalidFamilyError(IsotemporalError):
@@ -232,7 +233,7 @@ class TwoSidedShape:
 
 @functools.lru_cache(maxsize=None)
 def recognize_two_sided(graph: Pseudograph) -> TwoSidedShape:
-    """Match a graph against the generated diaster / stem layouts.
+    """Match a graph against the generated stem layouts (diasters included).
 
     Each layout puts edge 0 and the a left edges, and no others, at vertex
     0, so a is read from the graph.  Both sides must be non-empty; a
@@ -242,8 +243,6 @@ def recognize_two_sided(graph: Pseudograph) -> TwoSidedShape:
     a = len(graph.incidence.get(0, ())) - 1
     b = graph.edge_count - 1 - a
     if a >= 1 and b >= 1:
-        if graph == generate(Diaster(a, b)):
-            return TwoSidedShape(a, b, a == b)
         side_types = (Star, Beachball, Daisy)
         for left_type in side_types:
             for right_type in side_types:
@@ -359,72 +358,32 @@ def apply_swap_script(network: TemporalNetwork, script: SwapScript) -> TemporalN
     return network.relabeled(labeling)
 
 
-def _side_vector(network: TemporalNetwork, shape: TwoSidedShape, labels: Sequence[int]) -> list[int]:
-    # 0 = left edge, 1 = right edge, per label in the given order
-    out = []
-    for lab in labels:
-        e = network.edge_with_label(lab)
-        out.append(0 if e in shape.left_edge_ids else 1)
-    return out
-
-
-def _reflected(network: TemporalNetwork, shape: TwoSidedShape) -> TemporalNetwork:
-    # exchange the two sides' label blocks; legal only on reflective shapes
-    a = shape.a
-    labeling = list(network.labeling)
-    for i in range(1, a + 1):
-        labeling[i], labeling[a + i] = labeling[a + i], labeling[i]
-    return network.relabeled(labeling)
-
-
 def diaster_swap_permutation(n: TemporalNetwork, m: TemporalNetwork) -> SwapScript:
-    """A script of sequential swaps on non-adjacent edges taking n onto a
-    labeling label-isomorphic to m (both on the same generated diaster or
-    stem structure).
+    """Sequential swaps on non-adjacent edges taking n onto a labeling
+    label-isomorphic to m, on any two pseudographs; NoSwapScriptError when
+    the two networks are not temporally isomorphic.
 
-    Raises NoSwapScriptError when the signatures differ, i.e. when the two
-    labelings are not temporally isomorphic.
+    With phi the temporal isomorphism witness, the target gives edge e the
+    label m puts on phi(e).  Over n's edges ordered by label, each target
+    edge is walked down to its label, as binary_swap_sequence walks side
+    bits.  phi keeps the label order of every adjacent pair, so n and the
+    target order adjacent edges alike, and swaps keep that.  Every edge a
+    walk passes is therefore inverted relative to the target, and so not
+    adjacent to the walked edge.
     """
-    shape = recognize_two_sided(n.graph)
-    if m.graph != n.graph:
-        raise NotGeneratedFamilyError("the two networks must share one generated graph")
-    central = n.labeling[0]
-    if m.labeling[0] != central:
-        raise NoSwapScriptError("central labels differ; not temporally isomorphic")
-    sig_n = diaster_signature(n)
-    sig_m = diaster_signature(m)
-    if sig_n.left_below == sig_m.left_below:
-        target = m
-    elif shape.reflective and sig_n.left_below == central - 1 - sig_m.left_below:
-        target = _reflected(m, shape)
-    else:
-        raise NoSwapScriptError("signatures differ; not temporally isomorphic")
-
+    phi = temporal_isomorphism_witness(n, m)
+    if phi is None:
+        raise NoSwapScriptError("not temporally isomorphic; no script exists")
+    want = tuple(m.labeling[y] for y in phi.edge_map)
+    order = sorted(range(n.edge_count), key=n.labeling.__getitem__)  # order[p] carries label p + 1
     steps: list[SwapStep] = []
-    current = n
-
-    def emit(position_swaps: list[tuple[int, int]], label_base: int) -> None:
-        nonlocal current
-        for pos, _ in position_swaps:
-            lo = label_base + pos
-            e1 = current.edge_with_label(lo)
-            e2 = current.edge_with_label(lo + 1)
-            steps.append(SwapStep((lo, lo + 1), (e1, e2)))
-            labeling = list(current.labeling)
-            labeling[e1], labeling[e2] = labeling[e2], labeling[e1]
-            current = current.relabeled(labeling)
-
-    below = list(range(1, central))
-    above = list(range(central + 1, n.edge_count + 1))
-    emit(binary_swap_sequence(_side_vector(n, shape, below), _side_vector(target, shape, below)), 0)
-    emit(binary_swap_sequence(_side_vector(current, shape, above), _side_vector(target, shape, above)), central)
-
-    final_sides = _side_vector(current, shape, range(1, n.edge_count + 1))
-    target_sides = _side_vector(target, shape, range(1, n.edge_count + 1))
-    if final_sides != target_sides:
-        raise IsotemporalError("internal error: script did not reproduce the target sides")
+    for i, e in enumerate(sorted(range(n.edge_count), key=want.__getitem__)):
+        for p in range(order.index(e, i) - 1, i - 1, -1):
+            steps.append(SwapStep((p + 1, p + 2), (order[p], order[p + 1])))
+            order[p], order[p + 1] = order[p + 1], order[p]
     script = SwapScript(tuple(steps))
-    apply_swap_script(n, script)
+    if apply_swap_script(n, script).labeling != want:
+        raise IsotemporalError("internal error: script did not reach the target")
     return script
 
 

@@ -78,8 +78,6 @@ def stem_formula(spec: Stem) -> CountResult:
     there is no mirror symmetry and the result is not covered).
     """
     a, b = spec.left.k, spec.right.k
-    if a < 1 or b < 1:
-        raise InvalidFamilyError("stem sides need parameters >= 1")
     if a != b:
         return CountResult(a * b + a + b + 1, BASIS_TRANSFER)
     if type(spec.left) is type(spec.right):

@@ -4,9 +4,9 @@ A vertex bijection alone does not determine an edge bijection on a
 pseudograph (parallel edges and loops leave slack), so isomorphisms are
 represented as consistent pairs: a vertex bijection together with an edge
 bijection mapping every edge onto an edge with the image endpoints.
-Temporal isomorphism is tested by quantifying over all such pairs and
-demanding the image of the temporal-path set equal the target's path set,
-which makes the relation manifestly symmetric.
+Temporal isomorphism asks for one such pair that keeps the label order of
+every two adjacent edges: it carries the temporal paths of one network
+onto those of the other, and its inverse carries them back.
 
 Every isomorphism question is answered by one edge-driven backtracking
 search (in the spirit of Sims 1970 and McKay 1981): edges pick images of
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import IsotemporalError, Pseudograph, TemporalNetwork
+from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 
 SEARCH_LIMIT = math.factorial(10)
 
@@ -70,13 +70,6 @@ class EdgeIsomorphism:
     def map_sequence(self, seq: tuple[int, ...]) -> tuple[int, ...]:
         em = self.edge_map
         return tuple(em[e] for e in seq)
-
-    def inverse(self) -> "EdgeIsomorphism":
-        vmap = tuple(sorted((img, v) for v, img in self.vertex_map))
-        emap = [0] * len(self.edge_map)
-        for e, img in enumerate(self.edge_map):
-            emap[img] = e
-        return EdgeIsomorphism(vmap, tuple(emap))
 
 
 def _getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -283,13 +276,13 @@ def temporal_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Opti
     onto those of m, and its inverse carries them back.
     """
     ln, lm = n.labeling, m.labeling
+    near_n = adjacency(n.graph).neighbors
 
-    def kinds(net: TemporalNetwork) -> tuple[list[set[int]], list[tuple]]:
-        f, lab = net.graph, net.labeling
-        near = [{*f.incidence[u], *f.incidence[v]} - {x} for x, (u, v) in f.edges]
-        return near, [(k, len([z for z in near[x] if lab[z] < lab[x]])) for x, k in enumerate(f.edge_kinds)]
+    def kinds(net: TemporalNetwork) -> list[tuple]:
+        near, lab = adjacency(net.graph).neighbors, net.labeling
+        return [(k, len([z for z in near[x] if lab[z] < lab[x]])) for x, k in enumerate(net.graph.edge_kinds)]
 
-    (near_n, kinds_n), (_, kinds_m) = kinds(n), kinds(m)
+    kinds_n, kinds_m = kinds(n), kinds(m)
 
     def keeps_order(x: int, vmap: list[int], emap: list[int]) -> bool:
         return all(emap[z] < 0 or (ln[z] < ln[x]) == (lm[emap[z]] < lm[emap[x]]) for z in near_n[x])

@@ -1,5 +1,5 @@
 """The n! vertex-bijection search, the reference the edge-driven search is
-tested against, and the random pseudographs the tests draw.
+tested against, and the random pseudographs and swap walks the tests draw.
 
 The reference enumerates every vertex bijection that keeps degree, loop
 count and the multiplicity of every vertex pair, then every edge
@@ -12,7 +12,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from isotemporal import EdgeIsomorphism, Pseudograph
+from isotemporal import EdgeIsomorphism, Pseudograph, adjacency
 
 
 def _profile(g: Pseudograph, v: int) -> tuple[int, int]:
@@ -111,3 +111,18 @@ def relabeled(g, rng):
     for e, (u, v) in g.edges:
         pairs[eperm[e]] = (vperm[u], vperm[v])
     return Pseudograph.from_edges(g.vertex_count, pairs), eperm
+
+
+def swapped(g, labels, rng):
+    """labels after random swaps of consecutive labels on non-adjacent edges."""
+    labels = list(labels)
+    adj = adjacency(g)
+    for _ in range(len(labels)):
+        edge_of = {lab: e for e, lab in enumerate(labels)}
+        moves = [i for i in range(1, len(labels)) if not adj.adjacent(edge_of[i], edge_of[i + 1])]
+        if not moves:
+            break
+        i = rng.choice(moves)
+        a, b = edge_of[i], edge_of[i + 1]
+        labels[a], labels[b] = labels[b], labels[a]
+    return labels

@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from isotemporal import Beachball, EdgePermutationGroup, Star, check_transfer_conditions, classes, generate
+from isotemporal import (
+    Beachball,
+    EdgePermutationGroup,
+    Star,
+    TemporalNetwork,
+    check_transfer_conditions,
+    classes,
+    generate,
+    parse_family_spec,
+    serialize_network,
+)
 from isotemporal.cli import EXIT_ERROR, EXIT_OK, run, verify
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -137,6 +147,26 @@ def test_swapscript_isomorphic_pair(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.splitlines()[0] == "steps: 1"
     assert "swap labels 1 2" in out
+
+
+def test_swapscript_on_the_five_cycle_fixtures(capsys):
+    code, out, err = run_capture(
+        capsys, ["swapscript", str(FIXTURES / "cycle5_a.net"), str(FIXTURES / "cycle5_b.net")]
+    )
+    assert (code, out, err) == (EXIT_OK, "steps: 1\nswap labels 1 2 : edges 0 2\n", "")
+
+
+def test_swapscript_keeps_its_output_contract(tmp_path, capsys):
+    # swapscripts.json holds the output of swapscript, captured before scripts
+    # followed the temporal witness, on four seeded pairs per two-sided spec
+    # of at most 7 edges: random, swaps then an automorphism, two of equal signature
+    a, b = tmp_path / "a.net", tmp_path / "b.net"
+    for case in json.loads((FIXTURES / "swapscripts.json").read_text(encoding="utf-8")):
+        g = generate(parse_family_spec(case["family"]))
+        a.write_text(serialize_network(TemporalNetwork(g, tuple(case["a"]))), encoding="utf-8")
+        b.write_text(serialize_network(TemporalNetwork(g, tuple(case["b"]))), encoding="utf-8")
+        code, out, err = run_capture(capsys, ["swapscript", str(a), str(b)])
+        assert (code, out, err) == (EXIT_OK, case["output"], ""), case
 
 
 def test_swapscript_not_isomorphic(tmp_path, capsys):

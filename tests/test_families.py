@@ -27,12 +27,13 @@ from isotemporal import (
     enumerate_family_specs,
     generate,
     is_label_isomorphic,
+    is_temporal_isomorphic,
     parse_family_spec,
     signature_classes,
     spec_string,
 )
 from isotemporal.families import NotGeneratedFamilyError, TwoSidedShape, recognize_two_sided
-from reference_iso import _vertex_bijections, pseudographs, relabeled
+from reference_iso import _vertex_bijections, pseudographs, relabeled, swapped
 
 
 # -- generators ---------------------------------------------------------------
@@ -275,11 +276,17 @@ def test_signature_mismatch_raises_no_script_error():
         diaster_swap_permutation(n, m)
 
 
-def test_wrong_family_raises():
+def test_cycle_gets_a_script():
+    # scripts follow the temporal witness, so graphs outside the two-sided
+    # layouts get them too
     g = generate(Cycle(4))
-    n = build_network(g, list(enumerate((1, 2, 3, 4))))
-    with pytest.raises(NotGeneratedFamilyError):
-        diaster_swap_permutation(n, n)
+    n = build_network(g, list(enumerate((1, 3, 2, 4))))
+    m = build_network(g, list(enumerate((3, 1, 4, 2))))
+    script = diaster_swap_permutation(n, m)
+    assert [(s.labels, s.edges) for s in script] == [((1, 2), (0, 2)), ((3, 4), (1, 3))]
+    assert is_label_isomorphic(apply_swap_script(n, script), m)
+    with pytest.raises(NoSwapScriptError):
+        diaster_swap_permutation(n, build_network(g, list(enumerate((1, 2, 3, 4)))))
 
 
 def test_reflection_case_uses_the_mirror_target():
@@ -288,6 +295,47 @@ def test_reflection_case_uses_the_mirror_target():
     m = build_network(g, [(0, 3), (1, 4), (2, 5), (3, 1), (4, 2)])
     script = diaster_swap_permutation(n, m)
     assert is_label_isomorphic(apply_swap_script(n, script), m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=pseudographs(), rng=st.randoms(use_true_random=False))
+@example(g=generate(Cycle(5)), rng=random.Random(0))
+@example(g=Pseudograph.from_edges(4, [(0, 0), (0, 1), (0, 1), (2, 2), (2, 3), (2, 3)]), rng=random.Random(1))
+def test_script_exists_iff_temporally_isomorphic(g, rng):
+    # m is a random labeling, or a partner: legal swaps, then an automorphism
+    # image; either way sometimes carried onto a renumbered copy of g
+    t = g.edge_count
+    a = rng.sample(range(1, t + 1), t)
+    partner = rng.random() < 0.5
+    b = rng.sample(range(1, t + 1), t)
+    elements = edge_automorphism_group(g).elements
+    if partner:
+        s, p = swapped(g, a, rng), rng.choice(elements)
+        for e in range(t):
+            b[p[e]] = s[e]
+    # the oracle: some automorphism image of b orients every adjacent pair as a does
+    pairs = adjacency(g).pairs
+    oracle = any(all((a[x] < a[z]) == (b[p[x]] < b[p[z]]) for x, z in pairs) for p in elements)
+    h, eperm = relabeled(g, rng) if rng.random() < 0.5 else (g, range(t))
+    image = [0] * t
+    for e in range(t):
+        image[eperm[e]] = b[e]
+    n, m = TemporalNetwork(g, tuple(a)), TemporalNetwork(h, tuple(image))
+    try:
+        script = diaster_swap_permutation(n, m)
+    except NoSwapScriptError:
+        script = None
+    assert (script is not None) == is_temporal_isomorphic(n, m) == oracle
+    assert script is not None or not partner
+    if script is not None:
+        # independent replay: sequential labels on non-adjacent edges
+        labeling = list(a)
+        for step in script:
+            (lo, hi), (e1, e2) = step.labels, step.edges
+            assert hi == lo + 1 and (labeling[e1], labeling[e2]) == (lo, hi)
+            assert (e1, e2) not in pairs and (e2, e1) not in pairs
+            labeling[e1], labeling[e2] = hi, lo
+        assert is_label_isomorphic(TemporalNetwork(g, tuple(labeling)), m)
 
 
 # -- transfer conditions ---------------------------------------------------------

@@ -13,7 +13,6 @@ from isotemporal import (
     Pseudograph,
     Star,
     TemporalNetwork,
-    adjacency,
     build_network,
     canonical_label_vectors,
     canonical_labeling,
@@ -29,7 +28,7 @@ from isotemporal import (
 from isotemporal import iso
 from isotemporal.iso import SearchLimitError
 from isotemporal.paths import edge_sequences
-from reference_iso import pseudographs, reference_isomorphisms, relabeled
+from reference_iso import pseudographs, reference_isomorphisms, relabeled, swapped
 
 
 def _net(spec, labels):
@@ -141,21 +140,6 @@ def test_automorphism_group_matches_the_vertex_bijection_search(g, seed):
     assert canonical_labeling(n).labeling == min(tuple(labels[p[e]] for e in range(t)) for p in reference)
 
 
-def _swapped(g, labels, rng):
-    """labels after random swaps of consecutive labels on non-adjacent edges."""
-    labels = list(labels)
-    adj = adjacency(g)
-    for _ in range(len(labels)):
-        edge_of = {lab: e for e, lab in enumerate(labels)}
-        moves = [i for i in range(1, len(labels)) if not adj.adjacent(edge_of[i], edge_of[i + 1])]
-        if not moves:
-            break
-        i = rng.choice(moves)
-        a, b = edge_of[i], edge_of[i + 1]
-        labels[a], labels[b] = labels[b], labels[a]
-    return labels
-
-
 def _first(pairs, keep):
     return next((p for p in pairs if keep(p)), None)
 
@@ -183,7 +167,7 @@ def test_edge_driven_search_matches_the_vertex_bijection_search(g, seed):
         for e in range(t):
             image[eperm[e]] = labels[e]
         if seed.random() < 0.5:
-            image = _swapped(h, image, seed)
+            image = swapped(h, image, seed)
         elif seed.random() < 0.3:
             seed.shuffle(image)
     n, m = TemporalNetwork(g, tuple(labels)), TemporalNetwork(h, tuple(image))
