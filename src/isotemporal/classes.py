@@ -3,7 +3,8 @@
 Two independent routes, which coincide on every pseudograph:
 
 * brute force: group canonical labelings by the orbit of their
-  temporal-path set under the edge automorphism group;
+  temporal-path set under the edge automorphism group (one label-order path sweep shares states
+  across label prefixes, yet keys on each full path set, never on the orientation below);
 * swap closure: close canonical labelings under transpositions of
   consecutive labels on non-adjacent edges, plus automorphisms.
 
@@ -32,7 +33,7 @@ from typing import Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .iso import canonical_label_vectors, edge_automorphism_group
-from .paths import edge_sequences
+from .paths import _path_sets
 
 DEFAULT_EDGE_LIMIT = 8
 HARD_EDGE_CAP = 10
@@ -97,12 +98,10 @@ def _brute_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
     if len(reps) == 1:
         return ((reps[0],),)
     # 256-byte translate tables, one per transversal element
-    tail = list(range(g.edge_count, 256))
-    tables = [bytes(list(p) + tail) for p in edge_automorphism_group(g).transversal]
+    tables = [bytes([*p, *range(g.edge_count, 256)]) for p in edge_automorphism_group(g).transversal]
     class_of_path_set: dict[frozenset[bytes], int] = {}
     buckets: list[list[tuple[int, ...]]] = []
-    for vec in reps:
-        seqs = frozenset(bytes(seq) for seq in edge_sequences(TemporalNetwork(g, vec)))
+    for vec, seqs in _path_sets(g, reps):
         class_id = class_of_path_set.get(seqs)
         if class_id is None:
             class_id = len(buckets)

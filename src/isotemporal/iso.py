@@ -340,8 +340,10 @@ def canonical_label_vectors(g: Pseudograph) -> tuple[tuple[int, ...], ...]:
     Only the t!/|N| class-sorted vectors (labels increasing inside each
     twin class) are candidates: label sets for the multi-edge classes from
     itertools.combinations, the singleton edges from
-    itertools.permutations.  A candidate is kept iff no transversal
-    element maps it to a smaller vector.  One path serves every t.
+    itertools.permutations.  A candidate is kept iff no transversal element maps it to a
+    smaller vector.  As p(vec)[0] = vec[p[0]] and labels are distinct, an element moving edge 0
+    does so iff it brings a smaller label to edge 0; only edge 0's stabilizer is compared in full.
+    One path serves every t.
     """
     t = g.edge_count
     if t < 2:
@@ -352,20 +354,18 @@ def canonical_label_vectors(g: Pseudograph) -> tuple[tuple[int, ...], ...]:
     blocks = [classes[0]] + [c for c in classes[1:] if len(c) > 1]
     slots = [e for b in blocks for e in b] + [c[0] for c in classes[1:] if len(c) == 1]
     assemble = _getter(sorted(range(t), key=slots.__getitem__))
-    others = [_getter(p) for p in group.transversal[1:]]
-    # A minimal vector gives edge 0 the smallest label on its orbit, so
-    # only edges outside the orbit carry smaller labels.  The orbit is the
-    # classes onto which T maps edge 0's class, each named by its first
-    # edge, the image of edge 0.
-    orbit = len(classes[0]) * len({p[0] for p in group.transversal})
-    top = t - orbit + 1
+    # edge 0's T-orbit names the classes T maps its class onto by their first
+    # edges; only edges outside those classes carry labels below edge 0's
+    heads = sorted({p[0] for p in group.transversal})
+    top = t - len(classes[0]) * len(heads) + 1
+    on_orbit, stabilizer = _getter(heads), [_getter(p) for p in group.transversal[1:] if p[0] == 0]
     reps: list[tuple[int, ...]] = []
 
     def fill(i: int, rest: tuple[int, ...], prefix: tuple[int, ...]) -> None:
         if i == len(blocks):
             for tail in itertools.permutations(rest):
                 vec = assemble(prefix + tail)
-                if not any(p(vec) < vec for p in others):
+                if min(on_orbit(vec)) == vec[0] and not any(p(vec) < vec for p in stabilizer):
                     reps.append(vec)
             return
         for chosen in itertools.combinations(rest, len(blocks[i])):

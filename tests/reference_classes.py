@@ -5,12 +5,15 @@ These are the brute-force and swap-closure bodies as they were before
 the package indexed the transversal alone: each class's first member has
 its image indexed under every element of ``EdgePermutationGroup.elements``,
 so no argument about the transversal is needed.  They cost classes x
-|Aut| images, which is why they live here and not in the package.
+|Aut| images, which is why they live here and not in the package.  Path
+sets come from the stack-DFS reference enumerator, one network at a time,
+so the package's shared label-order sweep is checked, not reused.
 """
 
 import operator
 
-from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, edge_automorphism_group, edge_sequences
+from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, edge_automorphism_group
+from reference_paths import reference_edge_sequences
 
 
 def _finish_blocks(groups):
@@ -28,7 +31,7 @@ def reference_brute_blocks(g):
     class_of_path_set: dict[frozenset[bytes], int] = {}
     buckets: list[list[tuple[int, ...]]] = []
     for vec in reps:
-        seqs = frozenset(bytes(seq) for seq in edge_sequences(TemporalNetwork(g, vec)))
+        seqs = frozenset(bytes(seq) for seq in reference_edge_sequences(TemporalNetwork(g, vec)))
         class_id = class_of_path_set.get(seqs)
         if class_id is None:
             class_id = len(buckets)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,9 +21,11 @@ from isotemporal import (
     edge_automorphism_group,
     generate,
     is_temporal_isomorphic,
+    parse_family_spec,
     swap_closure_classes,
     swap_neighbors,
 )
+from isotemporal import classes, core
 from isotemporal.classes import LimitExceededError
 from isotemporal.families import enumerate_family_specs
 from reference_classes import reference_brute_blocks, reference_swap_blocks
@@ -270,6 +273,25 @@ def test_partition_routes_match_indexing_over_every_element_on_family_specs():
         g = generate(spec)
         assert brute_force_classes(g).blocks == reference_brute_blocks(g), spec
         assert swap_closure_classes(g).blocks == reference_swap_blocks(g), spec
+
+
+def test_brute_route_reads_no_line_graph_orientation(monkeypatch):
+    # The brute-force route must rest on path sets alone, never on edge
+    # adjacency, the line-graph orientation the swap route keys on.
+    specs = ("cycle:6", "diaster:2,3", "stem:daisy:2/beachball:2")
+    graphs = [generate(parse_family_spec(s)) for s in specs]
+    expected = [reference_brute_blocks(g) for g in graphs]
+
+    def forbidden(graph):
+        raise AssertionError("the brute-force route read edge adjacency")
+
+    original = core.adjacency
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "isotemporal" and getattr(module, "adjacency", None) is original:
+            monkeypatch.setattr(module, "adjacency", forbidden)
+    classes._brute_blocks.cache_clear()
+    for spec, g, blocks in zip(specs, graphs, expected):
+        assert brute_force_classes(g).blocks == blocks, spec
 
 
 def test_partitions_are_deterministic():

@@ -479,6 +479,34 @@ def test_iso_on_a_long_path_needs_no_deep_recursion(tmp_path, capsys):
     assert out == f"label-isomorphic: yes\ntemporally-isomorphic: yes\nedge-bijection: {reversal}\n"
 
 
+def test_paths_ignores_declared_but_unused_vertices(tmp_path, capsys):
+    # output captured from the stack-DFS enumerator
+    net = tmp_path / "sparse.net"
+    _write_network(net, 10_000, [(9_999, 0), (0, 5_000), (9_999, 9_999)], [2, 3, 1])
+    code, out, err = run_capture(capsys, ["paths", str(net)])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [
+        "1 | 9999 9999", "1 2 | 9999 9999 0", "1 2 3 | 9999 9999 0 5000",
+        "2 | 0 9999", "2 3 | 9999 0 5000", "3 | 0 5000",
+    ]
+
+
+def test_paths_on_a_long_path(tmp_path, capsys):
+    # 1 200 edges, labels low on even edges and high on odd ones, so every
+    # temporal path is one edge or two adjacent edges
+    lows, highs = iter(range(1, 601)), iter(range(601, 1201))
+    labels = [next(highs if e % 2 else lows) for e in range(1200)]
+    net = tmp_path / "long.net"
+    _write_network(net, 1201, [(i, i + 1) for i in range(1200)], labels)
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, ["paths", str(net)])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert len(lines) == 1200 + 1199
+    assert lines[:3] == ["1 | 0 1", "1 601 | 0 1 2", "2 | 2 3"]
+
+
 def test_non_utf8_network_file_is_an_error(tmp_path, capsys):
     net = tmp_path / "latin1.net"
     net.write_bytes("# café\nvertices: 2\nedges: 1\n0 0 1 1\n".encode("latin-1"))

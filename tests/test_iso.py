@@ -120,6 +120,11 @@ def test_automorphism_search_counts_its_nodes(monkeypatch):
 @given(g=pseudographs(), seed=st.randoms(use_true_random=False))
 @example(g=generate(Cycle(3)), seed=random.Random(0))
 @example(g=Pseudograph.from_edges(6, [(0, 1), (2, 3), (4, 5)]), seed=random.Random(0))
+# edge 0 with a non-trivial stabilizer, its T-orbit all edges or a proper subset
+@example(g=generate(Cycle(6)), seed=random.Random(0))
+@example(g=Pseudograph.from_edges(6, [(0, 4), (0, 1), (1, 2), (2, 3), (3, 0), (2, 5)]), seed=random.Random(0))  # C4, pendants at 0 and 2
+@example(g=Pseudograph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]), seed=random.Random(0))  # K_{2,3}
+@example(g=Pseudograph.from_edges(6, [(2, 5)] + [(u, v) for u in (0, 1) for v in (2, 3, 4)]), seed=random.Random(0))  # K_{2,3}, a pendant
 def test_automorphism_group_matches_the_vertex_bijection_search(g, seed):
     reference = {i.edge_map for i in reference_isomorphisms(g, g)}
     group = edge_automorphism_group(g)

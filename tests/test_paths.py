@@ -16,7 +16,9 @@ from isotemporal import (
     max_temporal_path_length,
     temporal_paths,
 )
+from isotemporal import paths
 from isotemporal.paths import PathLimitError, edge_sequences
+from reference_paths import reference_edge_sequences
 
 
 def _net(spec, labels):
@@ -148,3 +150,21 @@ def test_temporal_paths_match_the_trace_walking_oracle(n):
     expected = oracle_paths(n)
     assert {(p.edge_ids, p.trace) for p in temporal_paths(n)} == expected
     assert edge_sequences(n) == {seq for seq, _ in expected}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=labeled_pseudographs())
+def test_label_order_sweep_matches_the_stack_dfs(n):
+    assert edge_sequences(n) == reference_edge_sequences(n)
+
+
+def test_path_limit_is_exact(monkeypatch):
+    # the limit bounds distinct sequences, not walks: three parallel edges
+    # give 7 sequences but 14 walks, one from each end
+    monkeypatch.setattr(paths, "PATH_LIMIT", 7)
+    assert len(edge_sequences(_net(Daisy(3), [1, 2, 3]))) == 7
+    assert len(edge_sequences(_net(Beachball(3), [1, 2, 3]))) == 7
+    with pytest.raises(PathLimitError, match="more than 7"):
+        edge_sequences(_net(Daisy(4), [1, 2, 3, 4]))
+    with pytest.raises(PathLimitError, match="more than 7"):
+        edge_sequences(_net(Beachball(4), [1, 2, 3, 4]))
