@@ -2,9 +2,9 @@
 
 Two independent routes, which coincide on every pseudograph:
 
-* brute force: group canonical labelings by the orbit of their
-  temporal-path set under the edge automorphism group (one label-order path sweep shares states
-  across label prefixes, yet keys on each full path set, never on the orientation below);
+* brute force: group canonical labelings by the orbit of their full
+  temporal-path set under the edge automorphism group, never by the
+  orientation below (the path sweep shares only equal prefix path sets);
 * swap closure: close canonical labelings under transpositions of
   consecutive labels on non-adjacent edges, plus automorphisms.
 

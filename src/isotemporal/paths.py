@@ -13,11 +13,14 @@ A single edge therefore yields exactly one path.
 One sweep adds the edges in label order.  The edge added last has the
 largest label so far, so every new path ends with it: a walk ending at
 one of its endpoints, extended by it, or the edge alone.  So a step that
-keeps, per vertex, the walks ending there costs only its new paths.
+keeps, per vertex, the walks ending there costs only its new paths.  Over
+many labelings of one graph the sweep is a memo on prefix path sets: the
+future of a sweep is a function of its path set (see ``_path_sets``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -41,22 +44,22 @@ class TemporalPath:
         return len(self.edge_ids)
 
 
-def _add_edge(ends: dict[int, list], ext: tuple[int] | bytes, u: int, v: int) -> int:
+def _add_edge(ends: dict[int, list], ext: tuple[int] | bytes, u: int, v: int) -> list:
     """Add edge {u, v} (``ext``: it as a 1-tuple or 1 byte), labeled above all in ``ends``
-    (vertex -> sequences whose walk ends there), in place; return the number of new walks."""
+    (vertex -> sequences whose walk ends there), in place; return the new walks."""
     at_u, at_v = ends.setdefault(u, []), ends.setdefault(v, [])
     onward = [seq + ext for seq in at_u] + [ext]  # walks at u cross to v
     back = [seq + ext for seq in at_v] + [ext] if u != v else []
     at_v += onward
     at_u += back
-    return len(onward) + len(back)
+    return onward + back
 
 
 def _enumerate(network: TemporalNetwork) -> set[tuple[int, ...]]:
     """Every temporal-path edge sequence of the network."""
     g, ends, walks = network.graph, {}, 0  # ends: vertex -> edge sequences whose walk ends there
     for eid in sorted(range(g.edge_count), key=network.labeling.__getitem__):
-        walks += _add_edge(ends, (eid,), *g.endpoints(eid))
+        walks += len(_add_edge(ends, (eid,), *g.endpoints(eid)))
         if walks > 2 * PATH_LIMIT:  # at most two walks a sequence: already too many
             break
     found = {seq for at in ends.values() for seq in at}
@@ -66,26 +69,35 @@ def _enumerate(network: TemporalNetwork) -> set[tuple[int, ...]]:
 
 
 def _path_sets(g: Pseudograph, labelings: Iterable[tuple]) -> Iterator[tuple[tuple, frozenset[bytes]]]:
-    """Each labeling of g (< 256 edges) with its full path set as edge-id bytes, sorted by
-    walk (edges in label order), so that consecutive walks share the sweep up to where they part."""
-    def walk(vec: tuple[int, ...]) -> bytes:
-        return bytes(sorted(range(len(vec)), key=vec.__getitem__))
+    """Each labeling of g (< 256 edges) with its full path set as edge-id bytes.
 
-    ends: dict[int, list[bytes]] = {v: [] for _, pair in g.edges for v in pair}
-    undo: list[tuple] = []  # per step: its edge, the two lists it grew and their lengths before
-    for vec in sorted(labelings, key=walk):
-        order = walk(vec)
-        shared = 0
-        while shared < len(undo) and order[shared] == undo[shared][0]:
-            shared += 1
-        for _, at_u, len_u, at_v, len_v in undo[shared:]:  # truncations: any order will do
-            del at_u[len_u:], at_v[len_v:]
-        del undo[shared:]
-        for d in range(shared, len(order)):
-            u, v = g.endpoints(order[d])
-            undo.append((order[d], ends[u], len(ends[u]), ends[v], len(ends[v])))
-            _add_edge(ends, order[d : d + 1], u, v)
-        yield vec, frozenset(itertools.chain.from_iterable(ends.values()))
+    A state is the path set of a label prefix, told apart by a mask with one bit per sequence,
+    with its walks ending at each vertex; each step (state, next edge) -> state is taken once.
+    Prefixes with one path set share every continuation: a step reads only the walks, the edges
+    used so far are the one-edge paths, and a sequence's walks (at most two, ending at different
+    vertices) follow from the graph.
+    """
+    t = g.edge_count
+    bit_of: dict[bytes, int] = {}
+    state_of, masks, ends_of, step = {0: 0}, [0], [{}], [[0] * t]  # step 0: not taken (none enters 0)
+    path_set = functools.cache(lambda s: frozenset(itertools.chain.from_iterable(ends_of[s].values())))
+
+    def take(s: int, e: int) -> int:
+        u, v = g.endpoints(e)
+        ends, mask = dict(ends_of[s]), masks[s]
+        ends[u], ends[v] = ends.get(u, [])[:], ends.get(v, [])[:]  # the lists _add_edge grows
+        for seq in _add_edge(ends, bytes((e,)), u, v):
+            mask |= 1 << bit_of.setdefault(seq, len(bit_of))
+        step[s][e] = nxt = state_of.setdefault(mask, len(masks))
+        if nxt == len(masks):
+            masks.append(mask), ends_of.append(ends), step.append([0] * t)
+        return nxt
+
+    for vec in labelings:
+        s = 0
+        for e in sorted(range(t), key=vec.__getitem__):
+            s = step[s][e] or take(s, e)
+        yield vec, path_set(s)
 
 
 def _trace(g: Pseudograph, seq: tuple[int, ...]) -> tuple[int, ...]:

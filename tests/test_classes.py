@@ -294,6 +294,28 @@ def test_brute_route_reads_no_line_graph_orientation(monkeypatch):
         assert brute_force_classes(g).blocks == blocks, spec
 
 
+def burnside_cycle_count(n):
+    """Classes of C_n by Burnside over acyclic orientations of its line graph (also C_n):
+    (1/2n)[sum over d | n, d >= 3, of phi(n/d)(2^d - 2), plus 2 phi(n/2) + (n/2) 2^(n/2) for even n]."""
+    def phi(m):
+        return sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+
+    total = sum(phi(n // d) * (2**d - 2) for d in range(3, n + 1) if n % d == 0)
+    if n % 2 == 0:
+        total += 2 * phi(n // 2) + n // 2 * 2 ** (n // 2)
+    assert total % (2 * n) == 0
+    return total // (2 * n)
+
+
+def test_cycle_class_counts_match_the_burnside_closed_form():
+    assert [burnside_cycle_count(n) for n in range(3, 10)] == [1, 3, 3, 8, 9, 21, 29]
+    for n in range(3, 10):
+        g = generate(Cycle(n))
+        expected = burnside_cycle_count(n)
+        assert brute_force_classes(g, limit=9).class_count == expected, n
+        assert swap_closure_classes(g, limit=9).class_count == expected, n
+
+
 def test_partitions_are_deterministic():
     g = generate(Diaster(2, 2))
     assert brute_force_classes(g) == brute_force_classes(g)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -275,6 +276,13 @@ def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
             [sys.executable, "-m", "isotemporal", *argv], capture_output=True, text=True, env=env
         )
         assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_verify_nine_keeps_its_output_contract(capsys):
+    # the output at 9 edges before the brute-force sweep shared states by path set
+    code, out, err = run_capture(capsys, ["verify", "--max-edges", "9", "--format", "json", "--no-timing"])
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "f8b467c81d28eeb0db0589be1dcd680d"
 
 
 def test_count_and_verify_keep_their_output_contract(capsys):

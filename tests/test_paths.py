@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isotemporal import (
     Beachball,
@@ -18,6 +19,7 @@ from isotemporal import (
 )
 from isotemporal import paths
 from isotemporal.paths import PathLimitError, edge_sequences
+from reference_iso import pseudographs
 from reference_paths import reference_edge_sequences
 
 
@@ -156,6 +158,21 @@ def test_temporal_paths_match_the_trace_walking_oracle(n):
 @given(n=labeled_pseudographs())
 def test_label_order_sweep_matches_the_stack_dfs(n):
     assert edge_sequences(n) == reference_edge_sequences(n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=pseudographs(), rng=st.randoms(use_true_random=False))
+@example(g=Pseudograph.from_edges(4, [(0, 1), (2, 3)]), rng=random.Random(0))  # both orders: one path set
+@example(g=Pseudograph.from_edges(3, [(0, 1), (1, 2)]), rng=random.Random(0))  # one edge set, two path sets
+def test_shared_sweep_matches_the_stack_dfs_on_every_labeling(g, rng):
+    # _path_sets shares states between label prefixes with one path set; each
+    # labeling must still get its own full path set, whatever the input order
+    labelings = list(itertools.permutations(range(1, g.edge_count + 1)))
+    rng.shuffle(labelings)
+    got = [(vec, {tuple(seq) for seq in seqs}) for vec, seqs in paths._path_sets(g, labelings)]
+    assert [vec for vec, _ in got] == labelings
+    for vec, seqs in got:
+        assert seqs == reference_edge_sequences(TemporalNetwork(g, vec)), vec
 
 
 def test_path_limit_is_exact(monkeypatch):
