@@ -57,7 +57,6 @@ from .families import (
     enumerate_family_specs,
     generate,
     parse_family_spec,
-    signature_classes,
     spec_string,
 )
 from .formulas import CountResult, diaster_formula, family_count, lattice_count, stem_formula, trivial_family_count

@@ -22,6 +22,16 @@ classes, so sorting labels inside each class turns a legal swap into a
 legal swap or into no change.  Canonical vectors are class-sorted, and T
 keeps them so.  Hence two canonical vectors have Aut-related orientations
 (equivalently, path sets) iff they have T-related ones.
+
+One loop (_blocks) groups for both routes; they differ only in the key
+and its T-images: the interned path set with translate-table images, or
+the orientation bytes with the images of the permuted vector.  It takes
+labelings in increasing order, so each block is sorted and blocks open in
+order of their smallest member: the partition needs no sorting.  Each
+route caches its partition per (graph, limit), because equal graphs come
+from different specs: stem:star:a/star:b is diaster:a,b, and a side of
+beachball:1 is a side of star:1.  Such repeats are 39 of the 165 specs of
+at most 7 edges, so a count --method all batch over them hits the cache.
 """
 
 from __future__ import annotations
@@ -40,7 +50,6 @@ HARD_EDGE_CAP = 10
 
 METHOD_TEMPORAL = "temporal-isomorphism"
 METHOD_SWAP = "swap-closure"
-METHOD_SIGNATURE = "signature"
 
 
 class LimitExceededError(IsotemporalError):
@@ -86,33 +95,25 @@ class ClassPartition:
         raise KeyError(f"{labeling} is not a canonical labeling of this graph")
 
 
-def _finish_blocks(groups) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(sorted(tuple(sorted(b)) for b in groups))
+def _blocks(keyed, images) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # keyed: (labeling, key) pairs, labelings increasing.  A key met for the first time joins
+    # the class of its first T-image already met, else opens a class; every key is stored as
+    # met, so the next labeling with that very key object is an identity hit.  Blocks open in
+    # order of their smallest member and grow in order, so they come out sorted.
+    class_of: dict = {}
+    blocks: list[list[tuple[int, ...]]] = []
+    for vec, key in keyed:
+        class_id = class_of.get(key)
+        if class_id is None:
+            class_id = next((c for c in map(class_of.get, images(vec, key)) if c is not None), len(blocks))
+            if class_id == len(blocks):
+                blocks.append([])
+            class_of[key] = class_id
+        blocks[class_id].append(vec)
+    return tuple(map(tuple, blocks))
 
 
 @functools.lru_cache(maxsize=None)
-def _brute_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # Labelings are temporally isomorphic iff their path sets lie in one orbit;
-    # each class's images under T are indexed once, so later members are a dict hit.
-    reps = canonical_label_vectors(g)
-    if len(reps) == 1:
-        return ((reps[0],),)
-    # 256-byte translate tables, one per transversal element
-    tables = [bytes([*p, *range(g.edge_count, 256)]) for p in edge_automorphism_group(g).transversal]
-    class_of_path_set: dict[frozenset[bytes], int] = {}
-    buckets: list[list[tuple[int, ...]]] = []
-    for vec, seqs in _path_sets(g, reps):
-        class_id = class_of_path_set.get(seqs)
-        if class_id is None:
-            class_id = len(buckets)
-            buckets.append([])
-            for table in tables:
-                image = frozenset(seq.translate(table) for seq in seqs)
-                class_of_path_set.setdefault(image, class_id)
-        buckets[class_id].append(vec)
-    return _finish_blocks(buckets)
-
-
 def brute_force_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ClassPartition:
     """Equivalence classes of temporal isomorphism over all canonical labelings.
 
@@ -121,7 +122,16 @@ def brute_force_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Clas
     temporally isomorphic.
     """
     _check_limit(g, limit)
-    return ClassPartition(g, _brute_blocks(g), METHOD_TEMPORAL)
+    reps = canonical_label_vectors(g)
+    if len(reps) == 1:
+        return ClassPartition(g, (reps,), METHOD_TEMPORAL)
+    # 256-byte translate tables, one per transversal element
+    tables = [bytes([*p, *range(g.edge_count, 256)]) for p in edge_automorphism_group(g).transversal]
+
+    def images(_, seqs: frozenset[bytes]):
+        return (frozenset(seq.translate(table) for seq in seqs) for table in tables)
+
+    return ClassPartition(g, _blocks(_path_sets(g, reps), images), METHOD_TEMPORAL)
 
 
 def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
@@ -143,32 +153,6 @@ def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
 
 
 @functools.lru_cache(maxsize=None)
-def _swap_blocks(g: Pseudograph) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # Key: the line-graph orientation, one bit per adjacent pair.  Each
-    # class's images under T are keyed once; later members hit.
-    reps = canonical_label_vectors(g)
-    if len(reps) == 1:
-        return ((reps[0],),)
-    transversal = edge_automorphism_group(g).transversal
-    pairs = sorted(adjacency(g).pairs)
-    lows, highs = [i for i, _ in pairs], [j for _, j in pairs]
-
-    def key(vec: tuple[int, ...]) -> bytes:
-        return bytes(map(operator.lt, map(vec.__getitem__, lows), map(vec.__getitem__, highs)))
-
-    class_of_key: dict[bytes, int] = {}
-    buckets: list[list[tuple[int, ...]]] = []
-    for vec in reps:
-        class_id = class_of_key.get(key(vec))
-        if class_id is None:
-            class_id = len(buckets)
-            buckets.append([])
-            for p in transversal:
-                class_of_key.setdefault(key(tuple(map(vec.__getitem__, p))), class_id)
-        buckets[class_id].append(vec)
-    return _finish_blocks(buckets)
-
-
 def swap_closure_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ClassPartition:
     """Orbits of canonical labelings under legal swaps plus automorphisms.
 
@@ -177,7 +161,21 @@ def swap_closure_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Cla
     automorphism.  The result equals brute_force_classes on every graph.
     """
     _check_limit(g, limit)
-    return ClassPartition(g, _swap_blocks(g), METHOD_SWAP)
+    reps = canonical_label_vectors(g)
+    if len(reps) == 1:
+        return ClassPartition(g, (reps,), METHOD_SWAP)
+    transversal = edge_automorphism_group(g).transversal
+    pairs = sorted(adjacency(g).pairs)
+    lows, highs = [i for i, _ in pairs], [j for _, j in pairs]
+
+    def key(vec: tuple[int, ...]) -> bytes:
+        # the line-graph orientation, one byte per adjacent pair
+        return bytes(map(operator.lt, map(vec.__getitem__, lows), map(vec.__getitem__, highs)))
+
+    def images(vec: tuple[int, ...], _):
+        return (key(tuple(map(vec.__getitem__, p))) for p in transversal)
+
+    return ClassPartition(g, _blocks(((vec, key(vec)) for vec in reps), images), METHOD_SWAP)
 
 
 @dataclass(frozen=True)
@@ -201,23 +199,15 @@ def compare_partitions(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Compa
     """
     temporal = brute_force_classes(g, limit)
     swap = swap_closure_classes(g, limit)
+    if temporal.blocks == swap.blocks:
+        return ComparisonReport(g, temporal, swap, True, None)
     temporal_index = {vec: i for i, block in enumerate(temporal.blocks) for vec in block}
+    if any(len({temporal_index[vec] for vec in block}) != 1 for block in swap.blocks):
+        raise IsotemporalError("internal error: swap closure does not refine temporal isomorphism")
+    # a strict refinement splits some block: its smallest member and the
+    # smallest member outside that member's swap orbit
     swap_index = {vec: i for i, block in enumerate(swap.blocks) for vec in block}
-    for block in swap.blocks:
-        targets = {temporal_index[vec] for vec in block}
-        if len(targets) != 1:
-            raise IsotemporalError(
-                "internal error: swap closure does not refine temporal isomorphism"
-            )
-    equal = temporal.blocks == swap.blocks
-    witness = None
-    if not equal:
-        for block in temporal.blocks:
-            orbits = {}
-            for vec in block:
-                orbits.setdefault(swap_index[vec], vec)
-            if len(orbits) > 1:
-                first, second = sorted(orbits.values())[:2]
-                witness = (first, second)
-                break
-    return ComparisonReport(g, temporal, swap, equal, witness)
+    witness = next(
+        (block[0], vec) for block in temporal.blocks for vec in block if swap_index[vec] != swap_index[block[0]]
+    )
+    return ComparisonReport(g, temporal, swap, False, witness)

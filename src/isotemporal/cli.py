@@ -153,14 +153,12 @@ def _cmd_classes(args) -> int:
     else:
         graph = _load_network(args.graph).graph
         name = args.graph
-    sections = []
     equal = None
-    if args.method in ("brute", "both"):
-        sections.append(brute_force_classes(graph, args.limit))
-    if args.method in ("swap", "both"):
-        sections.append(swap_closure_classes(graph, args.limit))
     if args.method == "both":
-        equal = compare_partitions(graph, args.limit).equal
+        report = compare_partitions(graph, args.limit)
+        sections, equal = [report.temporal, report.swap], report.equal
+    else:
+        sections = [(brute_force_classes if args.method == "brute" else swap_closure_classes)(graph, args.limit)]
     if args.format == "json":
         payload = {"graph": name, "partitions": [_partition_payload(p, args.representatives) for p in sections]}
         if equal is not None:

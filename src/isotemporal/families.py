@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
-from .classes import DEFAULT_EDGE_LIMIT, METHOD_SIGNATURE, ClassPartition, _check_limit, _finish_blocks
-from .iso import _candidates, _first, canonical_label_vectors, edge_automorphism_group, temporal_isomorphism_witness
+from .iso import _candidates, _first, edge_automorphism_group, temporal_isomorphism_witness
 
 
 class InvalidFamilyError(IsotemporalError):
@@ -278,17 +277,6 @@ def diaster_signature(network: TemporalNetwork) -> DiasterSignature:
     central = network.labeling[0]
     k = sum(1 for e in shape.left_edge_ids if network.labeling[e] < central)
     return DiasterSignature(central, k, shape.reflective)
-
-
-def signature_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ClassPartition:
-    """Partition canonical labelings by signature key (two-sided graphs only)."""
-    _check_limit(g, limit)
-    recognize_two_sided(g)
-    buckets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for vec in canonical_label_vectors(g):
-        sig = diaster_signature(TemporalNetwork(g, vec))
-        buckets.setdefault(sig.key, []).append(vec)
-    return ClassPartition(g, _finish_blocks(buckets.values()), METHOD_SIGNATURE)
 
 
 def binary_swap_sequence(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]:

@@ -36,18 +36,14 @@ class CountResult:
         return self.value is not None
 
 
-def _equal_case(a: int) -> int:
-    # (a + 1)(a + 2) is even; assert rather than truncate silently
-    total = a * a + 3 * a + 2
-    assert total % 2 == 0
-    return total // 2
-
-
 def diaster_formula(a: int, b: int) -> CountResult:
     """ab + a + b + 1 for a != b, (a^2 + 3a + 2) / 2 for a = b; symmetric."""
     Diaster(a, b)  # validates the parameters
     if a == b:
-        return CountResult(_equal_case(a), BASIS_EQUAL)
+        # (a + 1)(a + 2) is even; assert rather than truncate silently
+        total = a * a + 3 * a + 2
+        assert total % 2 == 0
+        return CountResult(total // 2, BASIS_EQUAL)
     return CountResult(a * b + a + b + 1, BASIS_UNEQUAL)
 
 
@@ -78,10 +74,8 @@ def stem_formula(spec: Stem) -> CountResult:
     there is no mirror symmetry and the result is not covered).
     """
     a, b = spec.left.k, spec.right.k
-    if a != b:
-        return CountResult(a * b + a + b + 1, BASIS_TRANSFER)
-    if type(spec.left) is type(spec.right):
-        return CountResult(_equal_case(a), BASIS_TRANSFER)
+    if a != b or type(spec.left) is type(spec.right):
+        return CountResult(diaster_formula(a, b).value, BASIS_TRANSFER)
     return CountResult(None, BASIS_NOT_COVERED)
 
 

@@ -1,5 +1,6 @@
 """Orbit indexing over every element of the automorphism group, the
-reference both partition routes are tested against.
+reference both partition routes are tested against, and the signature
+partition of two-sided graphs.
 
 These are the brute-force and swap-closure bodies as they were before
 the package indexed the transversal alone: each class's first member has
@@ -12,7 +13,7 @@ so the package's shared label-order sweep is checked, not reused.
 
 import operator
 
-from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, edge_automorphism_group
+from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, diaster_signature, edge_automorphism_group
 from reference_paths import reference_edge_sequences
 
 
@@ -66,3 +67,11 @@ def reference_swap_blocks(g):
                 class_of_key.setdefault(key(tuple(map(vec.__getitem__, p))), class_id)
         buckets[class_id].append(vec)
     return _finish_blocks(buckets)
+
+
+def signature_blocks(g):
+    """Canonical labelings of a generated two-sided graph grouped by signature key."""
+    buckets = {}
+    for vec in canonical_label_vectors(g):
+        buckets.setdefault(diaster_signature(TemporalNetwork(g, vec)).key, []).append(vec)
+    return _finish_blocks(buckets.values())

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -27,6 +28,7 @@ from isotemporal import (
 )
 from isotemporal import classes, core
 from isotemporal.classes import LimitExceededError
+from isotemporal.cli import run
 from isotemporal.families import enumerate_family_specs
 from reference_classes import reference_brute_blocks, reference_swap_blocks
 
@@ -165,6 +167,51 @@ def test_compare_partitions_equal_for_two_sided_structures():
         assert report.witness is None
 
 
+def altered_swap_route(monkeypatch, alter):
+    """Replace the swap route by one whose blocks are alter(true blocks)."""
+    original = classes.swap_closure_classes
+
+    def fake(g, limit=classes.DEFAULT_EDGE_LIMIT):
+        true = original(g, limit)
+        return classes.ClassPartition(g, tuple(sorted(alter(true.blocks))), true.method)
+
+    monkeypatch.setattr(classes, "swap_closure_classes", fake)
+
+
+def split_largest_block(blocks):
+    # members at even and odd positions of the largest block
+    i = max(range(len(blocks)), key=lambda i: len(blocks[i]))
+    return blocks[:i] + (blocks[i][::2], blocks[i][1::2]) + blocks[i + 1 :]
+
+
+def test_compare_partitions_reports_a_split_class(monkeypatch):
+    g = generate(Cycle(5))
+    block = max(brute_force_classes(g).blocks, key=len)
+    assert len(block) == 8
+    altered_swap_route(monkeypatch, split_largest_block)
+    report = compare_partitions(g)
+    assert report.equal is False
+    assert report.witness == (block[0], block[1])
+    assert report.temporal == brute_force_classes(g)
+    assert report.swap.class_count == report.temporal.class_count + 1
+
+
+def test_compare_partitions_rejects_merged_classes(monkeypatch):
+    g = generate(Cycle(5))
+    altered_swap_route(monkeypatch, lambda blocks: (blocks[0] + blocks[1],) + blocks[2:])
+    with pytest.raises(core.IsotemporalError, match="does not refine"):
+        compare_partitions(g)
+
+
+def test_classes_both_exits_two_when_the_routes_differ(monkeypatch, capsys):
+    altered_swap_route(monkeypatch, split_largest_block)
+    code = run(["classes", "--family", "cycle:5", "--method", "both", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["equal"] is False
+    assert [p["count"] for p in payload["partitions"]] == [3, 4]
+
+
 def test_two_sided_partitions_coincide_through_eight_edges():
     from isotemporal.families import enumerate_family_specs
 
@@ -289,7 +336,7 @@ def test_brute_route_reads_no_line_graph_orientation(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "isotemporal" and getattr(module, "adjacency", None) is original:
             monkeypatch.setattr(module, "adjacency", forbidden)
-    classes._brute_blocks.cache_clear()
+    classes.brute_force_classes.cache_clear()
     for spec, g, blocks in zip(specs, graphs, expected):
         assert brute_force_classes(g).blocks == blocks, spec
 

@@ -247,6 +247,23 @@ def test_verify_function_contract():
         verify(99)
 
 
+def test_classes_keeps_its_output_contract(capsys):
+    # classes8.json holds `classes --method both --representatives --format json`
+    # for every spec of at most 8 edges, cycles included, captured before both
+    # routes shared one grouping loop; the two partitions were equal, so one is kept
+    for case in json.loads((FIXTURES / "classes8.json").read_text(encoding="utf-8")):
+        argv = ["classes", "--family", case["graph"], "--method", "both", "--representatives", "--format", "json"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (EXIT_OK, ""), case["graph"]
+        partition = {"count": len(case["sizes"]), "sizes": case["sizes"], "representatives": case["representatives"]}
+        expected = {
+            "graph": case["graph"],
+            "partitions": [{"method": m, **partition} for m in ("temporal-isomorphism", "swap-closure")],
+            "equal": case["equal"],
+        }
+        assert out == json.dumps(expected, indent=2) + "\n", case["graph"]
+
+
 def test_disagreeing_counts_exit_two(capsys, monkeypatch):
     # force a wrong closed-form value to confirm CI fails loudly
     import isotemporal.cli as cli
@@ -327,8 +344,8 @@ def test_no_command_expands_the_automorphism_group(capsys, monkeypatch):
         raise AssertionError("the automorphism group was expanded")
 
     monkeypatch.setattr(EdgePermutationGroup, "elements", property(expand))
-    classes._brute_blocks.cache_clear()
-    classes._swap_blocks.cache_clear()
+    classes.brute_force_classes.cache_clear()
+    classes.swap_closure_classes.cache_clear()
     for family in ("diaster:1,8", "stem:star:8/beachball:1"):
         argv = ["count", "--family", family, "--method", "all", "--limit", "10", "--format", "json"]
         code, out, err = run_capture(capsys, argv)

@@ -29,10 +29,10 @@ from isotemporal import (
     is_label_isomorphic,
     is_temporal_isomorphic,
     parse_family_spec,
-    signature_classes,
     spec_string,
 )
 from isotemporal.families import NotGeneratedFamilyError, TwoSidedShape, recognize_two_sided
+from reference_classes import signature_blocks
 from reference_iso import _vertex_bijections, pseudographs, relabeled, swapped
 
 
@@ -147,7 +147,21 @@ def test_signature_partition_matches_brute_force():
         if not isinstance(spec, (Diaster, Stem)):
             continue
         g = generate(spec)
-        assert signature_classes(g).blocks == brute_force_classes(g).blocks, spec
+        assert signature_blocks(g) == brute_force_classes(g).blocks, spec
+
+
+def test_families_reads_nothing_from_the_partition_routes():
+    # signatures are an invariant, not a partition route; families must not
+    # lean on isotemporal.classes for anything
+    import ast
+    from pathlib import Path
+
+    import isotemporal.families
+
+    tree = ast.parse(Path(isotemporal.families.__file__).read_text(encoding="utf-8"))
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not {m for m in modules if m and m.split(".")[-1] == "classes"}
 
 
 def test_signature_rejects_non_generated_graphs():
