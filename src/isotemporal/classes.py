@@ -1,49 +1,44 @@
 """Partition all labelings of a fixed pseudograph into isotemporal classes.
 
-Two independent routes, which coincide on every pseudograph:
+Two independent routes class labelings up to the edge automorphism group:
+brute force by their full temporal-path set, never by the orientation
+below; swap closure by transpositions of consecutive labels on
+non-adjacent edges.  They coincide: the path set is a function of the
+labeling's orientation of the line graph (adjacent edges point from lower
+label to higher), its length-2 paths recover that orientation, and the
+linear extensions of one orientation are connected by swapping
+consecutive incomparable elements.  compare_partitions cross-checks them.
 
-* brute force: group canonical labelings by the orbit of their full
-  temporal-path set under the edge automorphism group, never by the
-  orientation below (the path sweep shares only equal prefix path sets);
-* swap closure: close canonical labelings under transpositions of
-  consecutive labels on non-adjacent edges, plus automorphisms.
-
-Why they coincide: the path set is a function of the labeling's
-orientation of the line graph (adjacent edges point from lower label to
-higher), and its length-2 paths recover that orientation.  The labelings
-with one orientation are its linear extensions, connected by swapping
-consecutive incomparable elements, i.e. labels on non-adjacent edges.
-compare_partitions still cross-checks the two routes at run time.
-
-Both routes index orbit images under the transversal T alone, never all
-of Aut.  T (the automorphisms increasing on every twin class) is a
-subgroup, and Aut = T N.  Adjacency is uniform within and between twin
-classes, so sorting labels inside each class turns a legal swap into a
-legal swap or into no change.  Canonical vectors are class-sorted, and T
-keeps them so.  Hence two canonical vectors have Aut-related orientations
-(equivalently, path sets) iff they have T-related ones.
-
-One loop (_blocks) groups for both routes; they differ only in the key
-and its T-images: the interned path set with translate-table images, or
-the orientation bytes with the images of the permuted vector.  It takes
-labelings in increasing order, so each block is sorted and blocks open in
-order of their smallest member: the partition needs no sorting.  Each
-route caches its partition per (graph, limit), because equal graphs come
-from different specs: stem:star:a/star:b is diaster:a,b, and a side of
-beachball:1 is a side of star:1.  Such repeats are 39 of the 165 specs of
-at most 7 edges, so a count --method all batch over them hits the cache.
+Neither route visits a labeling; only the ``blocks`` view lists them.
+Both walk the DAG of prefix states, two layers at a time (_walk): the
+exact path set of a label prefix (paths._path_step), or the used edges
+with their orientation.  A state carries ``ways``, the number of
+class-sorted label orders (increasing inside each twin class) reaching it.
+The first edge is cut to twin-class heads least in their T-orbit, weighted
+by the orbit size.  T, the automorphisms increasing on every twin class,
+is a subgroup with Aut = T N and acts freely on class-sorted orders, and
+class-sorted labelings have Aut-related orientations (or path sets) iff
+they have T-related ones.  So the classes are the T-orbits of final
+states, each holding sum(ways) / |T| canonical labelings.  The
+representative, a class's least canonical labeling, is the least of the
+least linear extensions of the T-images of its orientation (read from
+2-paths by the brute route); it orders the classes.  Each route caches its
+partition per (graph, limit): 39 of the 165 specs of at most 7 edges
+repeat a graph.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
-from dataclasses import dataclass
-from typing import Optional
+import itertools
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
-from .iso import canonical_label_vectors, edge_automorphism_group
-from .paths import _path_sets
+from .iso import EdgePermutationGroup, canonical_label_vectors, edge_automorphism_group
+from .paths import _path_step, edge_sequences
 
 DEFAULT_EDGE_LIMIT = 8
 HARD_EDGE_CAP = 10
@@ -59,31 +54,59 @@ class LimitExceededError(IsotemporalError):
 def _check_limit(g: Pseudograph, limit: int) -> None:
     effective = min(limit, HARD_EDGE_CAP)
     if g.edge_count > effective:
-        raise LimitExceededError(
-            f"graph has {g.edge_count} edges, enumeration limit is {effective}"
-        )
+        raise LimitExceededError(f"graph has {g.edge_count} edges, enumeration limit is {effective}")
+
+
+def _tables(g: Pseudograph) -> list[bytes]:
+    # edge-id bytes -> their images: a 256-byte translate table per element of T
+    return [bytes([*p, *range(g.edge_count, 256)]) for p in edge_automorphism_group(g).transversal]
+
+
+def _arrows(seqs) -> bytes:
+    # an orientation, kept small: its arrows (a, b), a labeled first, sorted and joined
+    return b"".join(sorted(seq for seq in seqs if len(seq) == 2))
 
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """A partition of the canonical labelings of one graph.
-
-    Blocks are tuples of label vectors sorted lexicographically; blocks
-    themselves are ordered by smallest member, so equal partitions compare
-    equal field-for-field.
-    """
+    """A partition of the canonical labelings of one graph: ``classes`` holds, per class in walk
+    order, the arrows of one of its final states and its number of canonical labelings.
+    The views by representative, ``finals`` and ``blocks`` are built on first use."""
 
     graph: Pseudograph
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
     method: str
+    classes: tuple[tuple[bytes, int], ...]
+    final_of: Callable = field(compare=False, repr=False)  # labeling -> its arrows, as the route reads them
 
     @property
     def class_count(self) -> int:
-        return len(self.blocks)
+        return len(self.classes)
+
+    @cached_property
+    def _ranked(self) -> list[tuple[tuple[int, ...], int, bytes]]:  # (representative, size, arrows)
+        t, tables = self.graph.edge_count, _tables(self.graph)
+        reps = [min(_least_extension(t, key.translate(p)) for p in tables) for key, _ in self.classes]
+        return sorted((rep, size, key) for rep, (key, size) in zip(reps, self.classes))
+
+    @property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(rep for rep, _, _ in self._ranked)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(size for _, size, _ in self._ranked)
+
+    @cached_property
+    def finals(self) -> dict[bytes, int]:  # the arrows of every final state -> its class's index
+        images = ((i, key.translate(p)) for i, (_, _, key) in enumerate(self._ranked) for p in _tables(self.graph))
+        return {_arrows(image[k : k + 2] for k in range(0, len(image), 2)): i for i, image in images}
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        blocks: list[list[tuple[int, ...]]] = [[] for _ in self.classes]
+        for vec in canonical_label_vectors(self.graph):
+            blocks[0 if self.class_count == 1 else self.finals[self.final_of(vec)]].append(vec)
+        return tuple(map(tuple, blocks))
 
     def labelings(self) -> tuple[tuple[int, ...], ...]:
         return tuple(vec for block in self.blocks for vec in block)
@@ -95,43 +118,73 @@ class ClassPartition:
         raise KeyError(f"{labeling} is not a canonical labeling of this graph")
 
 
-def _blocks(keyed, images) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # keyed: (labeling, key) pairs, labelings increasing.  A key met for the first time joins
-    # the class of its first T-image already met, else opens a class; every key is stored as
-    # met, so the next labeling with that very key object is an identity hit.  Blocks open in
-    # order of their smallest member and grow in order, so they come out sorted.
-    class_of: dict = {}
-    blocks: list[list[tuple[int, ...]]] = []
-    for vec, key in keyed:
-        class_id = class_of.get(key)
-        if class_id is None:
-            class_id = next((c for c in map(class_of.get, images(vec, key)) if c is not None), len(blocks))
-            if class_id == len(blocks):
-                blocks.append([])
-            class_of[key] = class_id
-        blocks[class_id].append(vec)
-    return tuple(map(tuple, blocks))
+def _walk(g: Pseudograph, group: EdgePermutationGroup, start, step) -> Iterator[tuple]:
+    """(final state, ways) over the class-sorted label orders of g: an edge is labeled once its
+    next-smaller twin is.  A layer keys its distinct states by (used edges, step key);
+    step(state, used edges, edge) -> (key, state) runs once per state and edge."""
+    t = g.edge_count
+    before = {b: a for c in group.twin_classes for a, b in zip(c, c[1:])}  # the next-smaller twin
+    need = [1 << before[e] if e in before else 0 for e in range(t)]
+    orbits = [{p[e] for p in group.transversal} for e in range(t)]
+    first = [len(orbit) if min(orbit) == e else 0 for e, orbit in enumerate(orbits)]  # the first-edge cut
+    nexts = functools.cache(lambda used: [e for e in range(t) if ~used & 1 << e and used & need[e] == need[e]])
+    layer: dict = {(0, None): [start, 1]}
+    for _ in range(t):
+        nxt: dict = {}
+        for (used, _), (state, ways) in layer.items():
+            for e in nexts(used) if used else (e for e in nexts(0) if first[e]):
+                key, new = step(state, used, e)
+                nxt.setdefault((used | 1 << e, key), [new, 0])[1] += ways if used else first[e]
+        layer = nxt
+    return ((state, ways) for state, ways in layer.values())
+
+
+def _least_extension(t: int, arrows: bytes) -> tuple[int, ...]:
+    # the least labeling with a < b for every arrow (a, b): labels t..1 in turn go to the
+    # largest unlabeled edge with no unlabeled successor
+    after, left, vec = [0] * t, (1 << t) - 1, [0] * t
+    for a, b in zip(arrows[::2], arrows[1::2]):
+        after[a] |= 1 << b
+    for label in range(t, 0, -1):
+        e = max(x for x in range(t) if left >> x & 1 and not after[x] & left)
+        vec[e], left = label, left ^ 1 << e
+    return tuple(vec)
+
+
+def _partition(g: Pseudograph, method: str, limit: int, start, step, final, final_of) -> ClassPartition:
+    """Classes as the T-orbits of the final states, each kept as the arrows of one."""
+    _check_limit(g, limit)
+    group = edge_automorphism_group(g)
+    if group.order == math.factorial(g.edge_count):  # one labeling up to automorphism: no walk
+        return ClassPartition(g, method, ((b"", 1),), final_of)
+    tables, class_of, found = _tables(g), {}, []  # found: [arrows, ways] per class
+    for state, ways in _walk(g, group, start, step):
+        key = final(state)
+        c = class_of.get(key)
+        if c is None:
+            c = len(found)
+            class_of.update(dict.fromkeys((frozenset(seq.translate(p) for seq in key) for p in tables), c))
+            found.append([_arrows(key), 0])
+        found[c][1] += ways
+    return ClassPartition(g, method, tuple((key, ways // len(group.transversal)) for key, ways in found), final_of)
 
 
 @functools.lru_cache(maxsize=None)
 def brute_force_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ClassPartition:
     """Equivalence classes of temporal isomorphism over all canonical labelings.
 
-    Labelings land in one block exactly when some edge automorphism maps
-    the temporal-path set of one onto the other's, i.e. when they are
+    Labelings share a class exactly when some edge automorphism maps the
+    temporal-path set of one onto the other's, i.e. when they are
     temporally isomorphic.
     """
-    _check_limit(g, limit)
-    reps = canonical_label_vectors(g)
-    if len(reps) == 1:
-        return ClassPartition(g, (reps,), METHOD_TEMPORAL)
-    # 256-byte translate tables, one per transversal element
-    tables = [bytes([*p, *range(g.edge_count, 256)]) for p in edge_automorphism_group(g).transversal]
 
-    def images(_, seqs: frozenset[bytes]):
-        return (frozenset(seq.translate(table) for seq in seqs) for table in tables)
+    def path_set(state: tuple[int, dict]) -> frozenset[bytes]:
+        return frozenset(itertools.chain.from_iterable(state[1].values()))
 
-    return ClassPartition(g, _blocks(_path_sets(g, reps), images), METHOD_TEMPORAL)
+    def final_of(vec: tuple[int, ...]) -> bytes:
+        return _arrows(map(bytes, edge_sequences(TemporalNetwork(g, vec))))
+
+    return _partition(g, METHOD_TEMPORAL, limit, (0, {}), _path_step(g), path_set, final_of)
 
 
 def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
@@ -160,22 +213,18 @@ def swap_closure_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Cla
     line-graph orientation, so labelings are grouped by orientation up to
     automorphism.  The result equals brute_force_classes on every graph.
     """
-    _check_limit(g, limit)
-    reps = canonical_label_vectors(g)
-    if len(reps) == 1:
-        return ClassPartition(g, (reps,), METHOD_SWAP)
-    transversal = edge_automorphism_group(g).transversal
-    pairs = sorted(adjacency(g).pairs)
-    lows, highs = [i for i, _ in pairs], [j for _, j in pairs]
+    adj = adjacency(g)
+    arrow = [[bytes((a, b)) for b in range(g.edge_count)] for a in range(g.edge_count)]
 
-    def key(vec: tuple[int, ...]) -> bytes:
-        # the line-graph orientation, one byte per adjacent pair
-        return bytes(map(operator.lt, map(vec.__getitem__, lows), map(vec.__getitem__, highs)))
+    def step(before: frozenset[bytes], used: int, e: int) -> tuple[frozenset[bytes], frozenset[bytes]]:
+        # every labeled neighbour of e comes before it
+        before = before.union([arrow[z][e] for z in adj.neighbors[e] if used >> z & 1])
+        return before, before
 
-    def images(vec: tuple[int, ...], _):
-        return (key(tuple(map(vec.__getitem__, p))) for p in transversal)
+    def final_of(vec: tuple[int, ...]) -> bytes:
+        return _arrows(arrow[a][b] if vec[a] < vec[b] else arrow[b][a] for a, b in adj.pairs)
 
-    return ClassPartition(g, _blocks(((vec, key(vec)) for vec in reps), images), METHOD_SWAP)
+    return _partition(g, METHOD_SWAP, limit, frozenset(), step, frozenset, final_of)
 
 
 @dataclass(frozen=True)
@@ -192,18 +241,18 @@ class ComparisonReport:
 def compare_partitions(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ComparisonReport:
     """Compare swap closure against temporal isomorphism on one graph.
 
-    Verifies that swap closure refines temporal isomorphism (a violation
-    is an internal error, never a finding); when the partitions differ, a
-    witness pair of labelings that are temporally isomorphic yet in
-    different swap orbits is included.
+    Verifies that swap closure refines temporal isomorphism (a violation is an internal
+    error, never a finding); when the partitions differ, a witness pair of labelings that
+    are temporally isomorphic yet in different swap orbits is included.
     """
-    temporal = brute_force_classes(g, limit)
-    swap = swap_closure_classes(g, limit)
-    if temporal.blocks == swap.blocks:
-        return ComparisonReport(g, temporal, swap, True, None)
-    temporal_index = {vec: i for i, block in enumerate(temporal.blocks) for vec in block}
-    if any(len({temporal_index[vec] for vec in block}) != 1 for block in swap.blocks):
+    temporal, swap = brute_force_classes(g, limit), swap_closure_classes(g, limit)
+    # join the classes through their final orientations; the brute route reads its own from
+    # 2-paths, and two of its classes with one orientation orbit leave one of them unmet
+    met = {(c, swap.finals[before]) for before, c in temporal.finals.items()}
+    if len({s for _, s in met}) != len(met) or len({c for c, _ in met}) != temporal.class_count:
         raise IsotemporalError("internal error: swap closure does not refine temporal isomorphism")
+    if swap.class_count == temporal.class_count:
+        return ComparisonReport(g, temporal, swap, True, None)
     # a strict refinement splits some block: its smallest member and the
     # smallest member outside that member's swap orbit
     swap_index = {vec: i for i, block in enumerate(swap.blocks) for vec in block}

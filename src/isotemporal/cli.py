@@ -142,7 +142,7 @@ def _partition_payload(partition, representatives: bool):
         "sizes": list(partition.block_sizes),
     }
     if representatives:
-        payload["representatives"] = [list(block[0]) for block in partition.blocks]
+        payload["representatives"] = [list(rep) for rep in partition.representatives]
     return payload
 
 
@@ -171,8 +171,8 @@ def _cmd_classes(args) -> int:
             print(f"classes: {partition.class_count}")
             print(f"sizes: {' '.join(str(s) for s in partition.block_sizes)}")
             if args.representatives:
-                for block in partition.blocks:
-                    print(f"representative: {' '.join(str(x) for x in block[0])}")
+                for rep in partition.representatives:
+                    print(f"representative: {' '.join(str(x) for x in rep)}")
         if equal is not None:
             print(f"equal: {'yes' if equal else 'no'}")
     if equal is False:

@@ -13,17 +13,18 @@ A single edge therefore yields exactly one path.
 One sweep adds the edges in label order.  The edge added last has the
 largest label so far, so every new path ends with it: a walk ending at
 one of its endpoints, extended by it, or the edge alone.  So a step that
-keeps, per vertex, the walks ending there costs only its new paths.  Over
-many labelings of one graph the sweep is a memo on prefix path sets: the
-future of a sweep is a function of its path set (see ``_path_sets``).
+keeps, per vertex, the walks ending there costs only its new paths.  The
+partition walk steps the sweep once per distinct prefix path set
+(``_path_step``): prefixes with one path set share every continuation, as
+a step reads only the walks, the edges used so far are the one-edge
+paths, and a sequence's walks (at most two, ending at different
+vertices) follow from the graph.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork
 
@@ -68,36 +69,26 @@ def _enumerate(network: TemporalNetwork) -> set[tuple[int, ...]]:
     return found
 
 
-def _path_sets(g: Pseudograph, labelings: Iterable[tuple]) -> Iterator[tuple[tuple, frozenset[bytes]]]:
-    """Each labeling of g (< 256 edges) with its full path set as edge-id bytes.
+def _path_step(g: Pseudograph) -> Callable:
+    """The brute walk's step on g (< 256 edges): (state, used edges, next edge) -> (key, state).
 
-    A state is the path set of a label prefix, told apart by a mask with one bit per sequence,
-    with its walks ending at each vertex; each step (state, next edge) -> state is taken once.
-    Prefixes with one path set share every continuation: a step reads only the walks, the edges
-    used so far are the one-edge paths, and a sequence's walks (at most two, ending at different
-    vertices) follow from the graph.
+    A state is the path set of a label prefix, keyed by a mask with one bit per sequence, with
+    its walks (edge-id bytes) ending at each vertex; each state checks PATH_LIMIT.
     """
-    t = g.edge_count
     bit_of: dict[bytes, int] = {}
-    state_of, masks, ends_of, step = {0: 0}, [0], [{}], [[0] * t]  # step 0: not taken (none enters 0)
-    path_set = functools.cache(lambda s: frozenset(itertools.chain.from_iterable(ends_of[s].values())))
 
-    def take(s: int, e: int) -> int:
+    def step(state: tuple[int, dict], used: int, e: int) -> tuple[int, tuple[int, dict]]:
+        mask, ends = state
         u, v = g.endpoints(e)
-        ends, mask = dict(ends_of[s]), masks[s]
+        ends = dict(ends)
         ends[u], ends[v] = ends.get(u, [])[:], ends.get(v, [])[:]  # the lists _add_edge grows
         for seq in _add_edge(ends, bytes((e,)), u, v):
             mask |= 1 << bit_of.setdefault(seq, len(bit_of))
-        step[s][e] = nxt = state_of.setdefault(mask, len(masks))
-        if nxt == len(masks):
-            masks.append(mask), ends_of.append(ends), step.append([0] * t)
-        return nxt
+        if mask.bit_count() > PATH_LIMIT:
+            raise PathLimitError(f"more than {PATH_LIMIT} temporal paths")
+        return mask, (mask, ends)
 
-    for vec in labelings:
-        s = 0
-        for e in sorted(range(t), key=vec.__getitem__):
-            s = step[s][e] or take(s, e)
-        yield vec, path_set(s)
+    return step
 
 
 def _trace(g: Pseudograph, seq: tuple[int, ...]) -> tuple[int, ...]:

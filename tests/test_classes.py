@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -168,43 +169,60 @@ def test_compare_partitions_equal_for_two_sided_structures():
 
 
 def altered_swap_route(monkeypatch, alter):
-    """Replace the swap route by one whose blocks are alter(true blocks)."""
+    """Replace the swap route by one whose final orientations fall into the classes
+    alter(true partition) gives, a map from orientation to class id."""
     original = classes.swap_closure_classes
 
     def fake(g, limit=classes.DEFAULT_EDGE_LIMIT):
         true = original(g, limit)
-        return classes.ClassPartition(g, tuple(sorted(alter(true.blocks))), true.method)
+        finals = alter(true)
+        grouped = {}
+        for vec in canonical_label_vectors(g):
+            grouped.setdefault(finals[true.final_of(vec)], []).append(vec)
+        blocks = tuple(sorted(map(tuple, grouped.values())))
+        return SimpleNamespace(
+            graph=g,
+            method=true.method,
+            finals=finals,
+            blocks=blocks,
+            class_count=len(blocks),
+            block_sizes=tuple(map(len, blocks)),
+            representatives=tuple(block[0] for block in blocks),
+        )
 
     monkeypatch.setattr(classes, "swap_closure_classes", fake)
 
 
-def split_largest_block(blocks):
-    # members at even and odd positions of the largest block
-    i = max(range(len(blocks)), key=lambda i: len(blocks[i]))
-    return blocks[:i] + (blocks[i][::2], blocks[i][1::2]) + blocks[i + 1 :]
+def split_largest_class(partition):
+    # the orientation of the largest class's first member moves to a new class
+    largest = max(range(partition.class_count), key=partition.block_sizes.__getitem__)
+    finals = dict(partition.finals)
+    finals[partition.final_of(partition.blocks[largest][0])] = partition.class_count
+    return finals
 
 
 def test_compare_partitions_reports_a_split_class(monkeypatch):
     g = generate(Cycle(5))
     block = max(brute_force_classes(g).blocks, key=len)
     assert len(block) == 8
-    altered_swap_route(monkeypatch, split_largest_block)
+    altered_swap_route(monkeypatch, split_largest_class)
     report = compare_partitions(g)
     assert report.equal is False
-    assert report.witness == (block[0], block[1])
+    # block[1] has block[0]'s orientation, so no split of orientations parts the two
+    assert report.witness == (block[0], block[2])
     assert report.temporal == brute_force_classes(g)
     assert report.swap.class_count == report.temporal.class_count + 1
 
 
 def test_compare_partitions_rejects_merged_classes(monkeypatch):
     g = generate(Cycle(5))
-    altered_swap_route(monkeypatch, lambda blocks: (blocks[0] + blocks[1],) + blocks[2:])
+    altered_swap_route(monkeypatch, lambda p: {before: max(c - 1, 0) for before, c in p.finals.items()})
     with pytest.raises(core.IsotemporalError, match="does not refine"):
         compare_partitions(g)
 
 
 def test_classes_both_exits_two_when_the_routes_differ(monkeypatch, capsys):
-    altered_swap_route(monkeypatch, split_largest_block)
+    altered_swap_route(monkeypatch, split_largest_class)
     code = run(["classes", "--family", "cycle:5", "--method", "both", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
@@ -310,9 +328,12 @@ def copied_components(draw):
 @example(g=Pseudograph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]))  # K_{2,3}
 @example(g=generate(Cycle(6)))
 def test_partition_routes_match_indexing_over_every_element(g):
-    # the package indexes orbit images over the transversal only
-    assert brute_force_classes(g).blocks == reference_brute_blocks(g)
-    assert swap_closure_classes(g).blocks == reference_swap_blocks(g)
+    # the package indexes orbit images over the transversal only; sizes and
+    # representatives come from the walk, the blocks from canonical labelings
+    for partition, blocks in ((brute_force_classes(g), reference_brute_blocks(g)), (swap_closure_classes(g), reference_swap_blocks(g))):
+        assert partition.blocks == blocks
+        assert partition.block_sizes == tuple(map(len, blocks))
+        assert partition.representatives == tuple(block[0] for block in blocks)
 
 
 def test_partition_routes_match_indexing_over_every_element_on_family_specs():
@@ -355,12 +376,12 @@ def burnside_cycle_count(n):
 
 
 def test_cycle_class_counts_match_the_burnside_closed_form():
-    assert [burnside_cycle_count(n) for n in range(3, 10)] == [1, 3, 3, 8, 9, 21, 29]
-    for n in range(3, 10):
+    assert [burnside_cycle_count(n) for n in range(3, 11)] == [1, 3, 3, 8, 9, 21, 29, 61]
+    for n in range(3, 11):
         g = generate(Cycle(n))
         expected = burnside_cycle_count(n)
-        assert brute_force_classes(g, limit=9).class_count == expected, n
-        assert swap_closure_classes(g, limit=9).class_count == expected, n
+        assert brute_force_classes(g, limit=10).class_count == expected, n
+        assert swap_closure_classes(g, limit=10).class_count == expected, n
 
 
 def test_partitions_are_deterministic():

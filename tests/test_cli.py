@@ -17,7 +17,9 @@ from isotemporal import (
     check_transfer_conditions,
     classes,
     generate,
+    iso,
     parse_family_spec,
+    paths,
     serialize_network,
 )
 from isotemporal.cli import EXIT_ERROR, EXIT_OK, run, verify
@@ -300,6 +302,42 @@ def test_verify_nine_keeps_its_output_contract(capsys):
     code, out, err = run_capture(capsys, ["verify", "--max-edges", "9", "--format", "json", "--no-timing"])
     assert (code, err) == (EXIT_OK, "")
     assert hashlib.md5(out.encode()).hexdigest() == "f8b467c81d28eeb0db0589be1dcd680d"
+
+
+def test_verify_ten_keeps_its_output_contract(capsys):
+    # the output at the hard cap before the routes walked prefix states instead of labelings
+    code, out, err = run_capture(capsys, ["verify", "--max-edges", "10", "--format", "json", "--no-timing"])
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.md5(out.encode()).hexdigest() == "e2537c724cfc08c6b64c899ac32f4544"
+
+
+def test_brute_route_refuses_a_state_past_the_path_limit(capsys, monkeypatch):
+    monkeypatch.setattr(paths, "PATH_LIMIT", 12)
+    classes.brute_force_classes.cache_clear()
+    code, out, err = run_capture(capsys, ["count", "--family", "cycle:6", "--method", "brute"])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: more than 12 temporal paths\n"
+
+
+def test_no_route_enumerates_canonical_labelings(capsys, monkeypatch):
+    # both routes walk prefix states; only the blocks view lists labelings
+    def enumerate_labelings(graph):
+        raise AssertionError("canonical labelings were enumerated")
+
+    original = iso.canonical_label_vectors
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "isotemporal" and getattr(module, "canonical_label_vectors", None) is original:
+            monkeypatch.setattr(module, "canonical_label_vectors", enumerate_labelings)
+    classes.brute_force_classes.cache_clear()
+    classes.swap_closure_classes.cache_clear()
+    for family, count in (("cycle:9", 29), ("diaster:4,5", 30)):
+        argv = ["count", "--family", family, "--method", "all", "--limit", "10", "--format", "json"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (EXIT_OK, ""), family
+        assert json.loads(out)["verdict"] == "AGREE" and json.loads(out)["counts"]["brute"] == count, family
+    code, out, err = run_capture(capsys, ["verify", "--max-edges", "6", "--format", "json", "--no-timing"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (FIXTURES / "verify6.json").read_text(encoding="utf-8")
 
 
 def test_count_and_verify_keep_their_output_contract(capsys):

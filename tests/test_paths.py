@@ -17,7 +17,7 @@ from isotemporal import (
     max_temporal_path_length,
     temporal_paths,
 )
-from isotemporal import paths
+from isotemporal import classes, edge_automorphism_group, paths
 from isotemporal.paths import PathLimitError, edge_sequences
 from reference_iso import pseudographs
 from reference_paths import reference_edge_sequences
@@ -165,14 +165,29 @@ def test_label_order_sweep_matches_the_stack_dfs(n):
 @example(g=Pseudograph.from_edges(4, [(0, 1), (2, 3)]), rng=random.Random(0))  # both orders: one path set
 @example(g=Pseudograph.from_edges(3, [(0, 1), (1, 2)]), rng=random.Random(0))  # one edge set, two path sets
 def test_shared_sweep_matches_the_stack_dfs_on_every_labeling(g, rng):
-    # _path_sets shares states between label prefixes with one path set; each
-    # labeling must still get its own full path set, whatever the input order
-    labelings = list(itertools.permutations(range(1, g.edge_count + 1)))
-    rng.shuffle(labelings)
-    got = [(vec, {tuple(seq) for seq in seqs}) for vec, seqs in paths._path_sets(g, labelings)]
-    assert [vec for vec, _ in got] == labelings
-    for vec, seqs in got:
-        assert seqs == reference_edge_sequences(TemporalNetwork(g, vec)), vec
+    # the brute walk shares states between label prefixes with one path set; under T, its
+    # final path sets must be those of every class-sorted labeling, whatever the edge order
+    pairs = [pair for _, pair in g.edges]
+    rng.shuffle(pairs)
+    g = Pseudograph.from_edges(g.vertex_count, pairs)
+    group = edge_automorphism_group(g)
+    walked = list(classes._walk(g, group, (0, {}), paths._path_step(g)))
+    tables = [bytes([*p, *range(g.edge_count, 256)]) for p in group.transversal]
+    closure = {
+        frozenset(seq.translate(table) for seq in itertools.chain.from_iterable(ends.values()))
+        for (_, ends), _ in walked
+        for table in tables
+    }
+    twins = [c for c in group.twin_classes if len(c) > 1]
+    sorted_labelings = [
+        vec
+        for vec in itertools.permutations(range(1, g.edge_count + 1))
+        if all(list(map(vec.__getitem__, c)) == sorted(map(vec.__getitem__, c)) for c in twins)
+    ]
+    assert sum(ways for _, ways in walked) == len(sorted_labelings)
+    assert closure == {
+        frozenset(map(bytes, reference_edge_sequences(TemporalNetwork(g, vec)))) for vec in sorted_labelings
+    }
 
 
 def test_path_limit_is_exact(monkeypatch):
