@@ -330,7 +330,8 @@ def copied_components(draw):
 def test_partition_routes_match_indexing_over_every_element(g):
     # the package indexes orbit images over the transversal only; sizes and
     # representatives come from the walk, the blocks from canonical labelings
-    for partition, blocks in ((brute_force_classes(g), reference_brute_blocks(g)), (swap_closure_classes(g), reference_swap_blocks(g))):
+    routes = ((brute_force_classes, reference_brute_blocks), (swap_closure_classes, reference_swap_blocks))
+    for partition, blocks in ((route(g), reference(g)) for route, reference in routes):
         assert partition.blocks == blocks
         assert partition.block_sizes == tuple(map(len, blocks))
         assert partition.representatives == tuple(block[0] for block in blocks)
