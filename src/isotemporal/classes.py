@@ -98,7 +98,7 @@ class ClassPartition:
 
     @cached_property
     def finals(self) -> dict[bytes, int]:  # the arrows of every final state -> its class's index
-        images = ((i, key.translate(p)) for i, (_, _, key) in enumerate(self._ranked) for p in _tables(self.graph))
+        images = ((i, key.translate(p)) for p in _tables(self.graph) for i, (_, _, key) in enumerate(self._ranked))
         return {_arrows(image[k : k + 2] for k in range(0, len(image), 2)): i for i, image in images}
 
     @cached_property
