@@ -9,22 +9,23 @@ label to higher), its length-2 paths recover that orientation, and the
 linear extensions of one orientation are connected by swapping
 consecutive incomparable elements.  compare_partitions cross-checks them.
 
-Neither route visits a labeling; only the ``blocks`` view lists them.
-Both walk the DAG of prefix states, two layers at a time (_walk): the
-exact path set of a label prefix (paths._path_step), or the used edges
-with their orientation.  A state carries ``ways``, the number of
-class-sorted label orders (increasing inside each twin class) reaching it.
-The first edge is cut to twin-class heads least in their T-orbit, weighted
-by the orbit size.  T, the automorphisms increasing on every twin class,
-is a subgroup with Aut = T N and acts freely on class-sorted orders, and
-class-sorted labelings have Aut-related orientations (or path sets) iff
-they have T-related ones.  So the classes are the T-orbits of final
-states, each holding sum(ways) / |T| canonical labelings.  The
-representative, a class's least canonical labeling, is the least of the
-least linear extensions of the T-images of its orientation (read from
-2-paths by the brute route); it orders the classes.  Each route caches its
-partition per (graph, limit): 39 of the 165 specs of at most 7 edges
-repeat a graph.
+No route visits or lists a labeling: a partition holds its classes, not
+their members.  Both routes walk the DAG of prefix states, two layers at a
+time (_walk): the exact path set of a label prefix (paths._path_step), or
+the used edges with their orientation.  A state carries ``ways``, the
+number of class-sorted label orders (increasing inside each twin class)
+reaching it.  The first edge is cut to twin-class heads least in their
+T-orbit, weighted by the orbit size.  T, the automorphisms increasing on
+every twin class, is a subgroup with Aut = T N and acts freely on
+class-sorted orders, and class-sorted labelings have Aut-related
+orientations (or path sets) iff they have T-related ones.  So the classes
+are the T-orbits of final states, each holding sum(ways) / |T| canonical
+labelings.  The representative, a class's least canonical labeling, is the
+least of the least linear extensions of the T-images of its orientation
+(read from 2-paths by the brute route); it orders the classes, and
+compare_partitions joins the routes' classes through these orientations.
+Each route caches its partition per (graph, limit): 39 of the 165 specs of
+at most 7 edges repeat a graph.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
-from .iso import EdgePermutationGroup, canonical_label_vectors, edge_automorphism_group
-from .paths import _path_step, edge_sequences
+from .iso import EdgePermutationGroup, edge_automorphism_group
+from .paths import _path_step
 
 DEFAULT_EDGE_LIMIT = 8
 HARD_EDGE_CAP = 10
@@ -51,10 +52,10 @@ class LimitExceededError(IsotemporalError):
     """The graph has more edges than the enumeration limit allows."""
 
 
-def _check_limit(g: Pseudograph, limit: int) -> None:
+def check_limit(edge_count: int, limit: int) -> None:
     effective = min(limit, HARD_EDGE_CAP)
-    if g.edge_count > effective:
-        raise LimitExceededError(f"graph has {g.edge_count} edges, enumeration limit is {effective}")
+    if edge_count > effective:
+        raise LimitExceededError(f"graph has {edge_count} edges, enumeration limit is {effective}")
 
 
 def _tables(g: Pseudograph) -> list[bytes]:
@@ -69,14 +70,12 @@ def _arrows(seqs) -> bytes:
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """A partition of the canonical labelings of one graph: ``classes`` holds, per class in walk
-    order, the arrows of one of its final states and its number of canonical labelings.
-    The views by representative, ``finals`` and ``blocks`` are built on first use."""
+    """The isotemporal classes of one graph: per class, in walk order, the arrows of one of its
+    final states and its number of canonical labelings.  The other views are built on first use."""
 
     graph: Pseudograph
     method: str
     classes: tuple[tuple[bytes, int], ...]
-    final_of: Callable = field(compare=False, repr=False)  # labeling -> its arrows, as the route reads them
 
     @property
     def class_count(self) -> int:
@@ -100,22 +99,6 @@ class ClassPartition:
     def finals(self) -> dict[bytes, int]:  # the arrows of every final state -> its class's index
         images = ((i, key.translate(p)) for p in _tables(self.graph) for i, (_, _, key) in enumerate(self._ranked))
         return {_arrows(image[k : k + 2] for k in range(0, len(image), 2)): i for i, image in images}
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        blocks: list[list[tuple[int, ...]]] = [[] for _ in self.classes]
-        for vec in canonical_label_vectors(self.graph):
-            blocks[0 if self.class_count == 1 else self.finals[self.final_of(vec)]].append(vec)
-        return tuple(map(tuple, blocks))
-
-    def labelings(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(vec for block in self.blocks for vec in block)
-
-    def block_of(self, labeling: tuple[int, ...]) -> int:
-        for i, block in enumerate(self.blocks):
-            if labeling in block:
-                return i
-        raise KeyError(f"{labeling} is not a canonical labeling of this graph")
 
 
 def _walk(g: Pseudograph, group: EdgePermutationGroup, start, step) -> Iterator[tuple]:
@@ -151,12 +134,12 @@ def _least_extension(t: int, arrows: bytes) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _partition(g: Pseudograph, method: str, limit: int, start, step, final, final_of) -> ClassPartition:
+def _partition(g: Pseudograph, method: str, limit: int, start, step, final) -> ClassPartition:
     """Classes as the T-orbits of the final states, each kept as the arrows of one."""
-    _check_limit(g, limit)
+    check_limit(g.edge_count, limit)
     group = edge_automorphism_group(g)
     if group.order == math.factorial(g.edge_count):  # one labeling up to automorphism: no walk
-        return ClassPartition(g, method, ((b"", 1),), final_of)
+        return ClassPartition(g, method, ((b"", 1),))
     tables, class_of, found = _tables(g), {}, []  # found: [arrows, ways] per class
     for state, ways in _walk(g, group, start, step):
         key = final(state)
@@ -166,7 +149,7 @@ def _partition(g: Pseudograph, method: str, limit: int, start, step, final, fina
             class_of.update(dict.fromkeys((frozenset(seq.translate(p) for seq in key) for p in tables), c))
             found.append([_arrows(key), 0])
         found[c][1] += ways
-    return ClassPartition(g, method, tuple((key, ways // len(group.transversal)) for key, ways in found), final_of)
+    return ClassPartition(g, method, tuple((key, ways // len(group.transversal)) for key, ways in found))
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,10 +164,7 @@ def brute_force_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Clas
     def path_set(state: tuple[int, dict]) -> frozenset[bytes]:
         return frozenset(itertools.chain.from_iterable(state[1].values()))
 
-    def final_of(vec: tuple[int, ...]) -> bytes:
-        return _arrows(map(bytes, edge_sequences(TemporalNetwork(g, vec))))
-
-    return _partition(g, METHOD_TEMPORAL, limit, (0, {}), _path_step(g), path_set, final_of)
+    return _partition(g, METHOD_TEMPORAL, limit, (0, {}), _path_step(g), path_set)
 
 
 def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
@@ -221,10 +201,7 @@ def swap_closure_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Cla
         before = before.union([arrow[z][e] for z in adj.neighbors[e] if used >> z & 1])
         return before, before
 
-    def final_of(vec: tuple[int, ...]) -> bytes:
-        return _arrows(arrow[a][b] if vec[a] < vec[b] else arrow[b][a] for a, b in adj.pairs)
-
-    return _partition(g, METHOD_SWAP, limit, frozenset(), step, frozenset, final_of)
+    return _partition(g, METHOD_SWAP, limit, frozenset(), step, frozenset)
 
 
 @dataclass(frozen=True)
@@ -253,10 +230,9 @@ def compare_partitions(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Compa
         raise IsotemporalError("internal error: swap closure does not refine temporal isomorphism")
     if swap.class_count == temporal.class_count:
         return ComparisonReport(g, temporal, swap, True, None)
-    # a strict refinement splits some block: its smallest member and the
-    # smallest member outside that member's swap orbit
-    swap_index = {vec: i for i, block in enumerate(swap.blocks) for vec in block}
-    witness = next(
-        (block[0], vec) for block in temporal.blocks for vec in block if swap_index[vec] != swap_index[block[0]]
-    )
-    return ComparisonReport(g, temporal, swap, False, witness)
+    # a strict refinement splits some class.  A class's representative, its least canonical
+    # labeling, also represents its own swap class; the witness pairs it, in the first split
+    # class, with the least representative of that class's other swap classes
+    reps, swap_reps = temporal.representatives, swap.representatives
+    c, other = min((c, swap_reps[s]) for c, s in met if swap_reps[s] != reps[c])
+    return ComparisonReport(g, temporal, swap, False, (reps[c], other))

@@ -19,6 +19,7 @@ from .classes import (
     DEFAULT_EDGE_LIMIT,
     HARD_EDGE_CAP,
     brute_force_classes,
+    check_limit,
     compare_partitions,
     swap_closure_classes,
 )
@@ -47,6 +48,11 @@ def _load_network(path: str):
             return parse_network(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise IsotemporalError(f"cannot read {path}: {exc}") from None
+
+
+def _family_graph(spec: FamilySpec, limit: int):
+    check_limit(families.edge_count(spec), limit)  # before a graph of that size is built
+    return generate(spec)
 
 
 def _identity_network(spec: FamilySpec):
@@ -81,8 +87,8 @@ def cross_check(
     routes = {
         "formula": lambda: formulas.family_count(spec).value,
         "lattice": lambda: formulas.lattice_count(spec.a, spec.b).value if two_sided else None,
-        "brute": lambda: brute_force_classes(generate(spec), limit).class_count,
-        "swap": lambda: swap_closure_classes(generate(spec), limit).class_count,
+        "brute": lambda: brute_force_classes(_family_graph(spec, limit), limit).class_count,
+        "swap": lambda: swap_closure_classes(_family_graph(spec, limit), limit).class_count,
     }
     if methods is None:
         methods = [m for m in routes if m != "lattice" or two_sided]
@@ -147,8 +153,8 @@ def _partition_payload(partition, representatives: bool):
 
 
 def _cmd_classes(args) -> int:
-    if args.family:
-        graph = generate(parse_family_spec(args.family))
+    if args.family is not None:
+        graph = _family_graph(parse_family_spec(args.family), args.limit)
         name = args.family
     else:
         graph = _load_network(args.graph).graph

@@ -126,8 +126,9 @@ def parse_family_spec(text: str) -> FamilySpec:
     kind, _, rest = text.strip().partition(":")
     try:
         if kind == "diaster":
-            a_s, _, b_s = rest.partition(",")
-            return Diaster(int(a_s), int(b_s))
+            if rest.count(",") != 1:
+                raise bad("a diaster takes two comma-separated parameters")
+            return Diaster(*map(int, rest.split(",")))
         if kind in ("star", "beachball", "daisy", "cycle"):
             value = int(rest)
             return {"star": Star, "beachball": Beachball, "daisy": Daisy, "cycle": Cycle}[kind](value)
@@ -135,9 +136,9 @@ def parse_family_spec(text: str) -> FamilySpec:
             left_s, sep, right_s = rest.partition("/")
             if not sep:
                 raise bad("stem needs two '/'-separated sides")
-            left = parse_family_spec(left_s)
-            right = parse_family_spec(right_s)
-            return Stem(left, right)
+            if not left_s.strip() or not right_s.strip():
+                raise bad("a stem side is empty")
+            return Stem(parse_family_spec(left_s), parse_family_spec(right_s))
     except ValueError:
         raise bad("parameters must be integers") from None
     raise bad("unknown family kind")

@@ -21,7 +21,7 @@ groups, one per twin class.  The group is held as the twin classes plus
 the transversal T of automorphisms increasing on every twin class, one per
 coset of N, so |Aut| = |T| * prod |C|!.  A labeling's canonical form sorts
 its labels inside each twin class and takes the minimum over T; canonical
-vectors are enumerated among the class-sorted vectors only.  T is itself a
+vectors are the class-sorted vectors no element of T lowers.  T is itself a
 subgroup (Aut = T ⋉ N), so membership class-sorts a map's images and looks
 the result up in T; ``.elements`` is a derived view the package never builds.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
@@ -70,13 +69,6 @@ class EdgeIsomorphism:
     def map_sequence(self, seq: tuple[int, ...]) -> tuple[int, ...]:
         em = self.edge_map
         return tuple(em[e] for e in seq)
-
-
-def _getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """seq -> tuple(seq[i] for i in indices), in one C call when it can be."""
-    if len(indices) > 1:
-        return operator.itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
 
 
 @dataclass(frozen=True)
@@ -337,42 +329,25 @@ def canonical_label_vectors(g: Pseudograph) -> tuple[tuple[int, ...], ...]:
 
     Each returned vector is the minimum of its orbit under the edge
     automorphism group; there are exactly count_distinct_labelings(g).
-    Only the t!/|N| class-sorted vectors (labels increasing inside each
-    twin class) are candidates: label sets for the multi-edge classes from
-    itertools.combinations, the singleton edges from
-    itertools.permutations.  A candidate is kept iff no transversal element maps it to a
-    smaller vector.  As p(vec)[0] = vec[p[0]] and labels are distinct, an element moving edge 0
-    does so iff it brings a smaller label to edge 0; only edge 0's stabilizer is compared in full.
-    One path serves every t.
+    The candidates are the t!/|N| class-sorted vectors, labeled as the
+    partition walk labels edges: label 1, 2, ... goes to an edge once its
+    next-smaller twin has one.  One is kept iff no element of T lowers it.
     """
-    t = g.edge_count
-    if t < 2:
-        return (tuple(range(1, t + 1)),)
-    group = edge_automorphism_group(g)
-    classes = group.twin_classes
-    # edge 0's class first, so its labels are chosen first
-    blocks = [classes[0]] + [c for c in classes[1:] if len(c) > 1]
-    slots = [e for b in blocks for e in b] + [c[0] for c in classes[1:] if len(c) == 1]
-    assemble = _getter(sorted(range(t), key=slots.__getitem__))
-    # edge 0's T-orbit names the classes T maps its class onto by their first
-    # edges; only edges outside those classes carry labels below edge 0's
-    heads = sorted({p[0] for p in group.transversal})
-    top = t - len(classes[0]) * len(heads) + 1
-    on_orbit, stabilizer = _getter(heads), [_getter(p) for p in group.transversal[1:] if p[0] == 0]
-    reps: list[tuple[int, ...]] = []
+    t, group = g.edge_count, edge_automorphism_group(g)
+    before = {b: a for c in group.twin_classes for a, b in zip(c, c[1:])}  # the next-smaller twin
+    vec, reps = [0] * t, []
 
-    def fill(i: int, rest: tuple[int, ...], prefix: tuple[int, ...]) -> None:
-        if i == len(blocks):
-            for tail in itertools.permutations(rest):
-                vec = assemble(prefix + tail)
-                if min(on_orbit(vec)) == vec[0] and not any(p(vec) < vec for p in stabilizer):
-                    reps.append(vec)
+    def fill(label: int) -> None:
+        if label > t:
+            cand = tuple(vec)
+            if not any(tuple(map(cand.__getitem__, p)) < cand for p in group.transversal):
+                reps.append(cand)
             return
-        for chosen in itertools.combinations(rest, len(blocks[i])):
-            if i == 0 and chosen[0] > top:
-                break
-            fill(i + 1, tuple(r for r in rest if r not in chosen), prefix + chosen)
+        for e in range(t):
+            if not vec[e] and (e not in before or vec[before[e]]):
+                vec[e] = label
+                fill(label + 1)
+                vec[e] = 0
 
-    fill(0, tuple(range(1, t + 1)), ())
-    reps.sort()
-    return tuple(reps)
+    fill(1)
+    return tuple(sorted(reps))

@@ -1,6 +1,7 @@
 """Orbit indexing over every element of the automorphism group, the
-reference both partition routes are tested against, and the signature
-partition of two-sided graphs.
+reference both partition routes are tested against, the signature
+partition of two-sided graphs, and the canonical labelings of a
+partition's classes, which the package never lists.
 
 These are the brute-force and swap-closure bodies as they were before
 the package indexed the transversal alone: each class's first member has
@@ -12,8 +13,10 @@ so the package's shared label-order sweep is checked, not reused.
 """
 
 import operator
+from types import SimpleNamespace
 
 from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, diaster_signature, edge_automorphism_group
+from isotemporal import classes
 from reference_paths import reference_edge_sequences
 
 
@@ -75,3 +78,55 @@ def signature_blocks(g):
     for vec in canonical_label_vectors(g):
         buckets.setdefault(diaster_signature(TemporalNetwork(g, vec)).key, []).append(vec)
     return _finish_blocks(buckets.values())
+
+
+def orientation(g, vec):
+    """vec's orientation of the line graph as ClassPartition.finals keys it: the arrows (a, b),
+    a labeled first, as sorted and joined bytes."""
+    return b"".join(sorted(bytes((a, b) if vec[a] < vec[b] else (b, a)) for a, b in adjacency(g).pairs))
+
+
+def blocks_of(partition):
+    """The canonical labelings of each class of partition, in representative order: each goes
+    to the class its orientation names in partition.finals."""
+    g = partition.graph
+    if partition.class_count == 1:
+        return (canonical_label_vectors(g),)
+    blocks = [[] for _ in range(partition.class_count)]
+    for vec in canonical_label_vectors(g):
+        blocks[partition.finals[orientation(g, vec)]].append(vec)
+    return tuple(map(tuple, blocks))
+
+
+def altered_swap_route(monkeypatch, alter):
+    """Replace the swap route by one whose final orientations fall into the classes
+    alter(true partition) gives, a map from orientation to class id."""
+    original = classes.swap_closure_classes
+
+    def fake(g, limit=classes.DEFAULT_EDGE_LIMIT):
+        true = original(g, limit)
+        finals = alter(true)
+        grouped = {}
+        for vec in canonical_label_vectors(g):
+            grouped.setdefault(finals[orientation(g, vec)], []).append(vec)
+        rank = {c: i for i, c in enumerate(sorted(grouped, key=grouped.get))}  # class ids by representative
+        blocks = sorted(grouped.values())
+        return SimpleNamespace(
+            graph=g,
+            method=true.method,
+            finals={key: rank[c] for key, c in finals.items()},
+            class_count=len(blocks),
+            block_sizes=tuple(map(len, blocks)),
+            representatives=tuple(block[0] for block in blocks),
+        )
+
+    monkeypatch.setattr(classes, "swap_closure_classes", fake)
+
+
+def split_largest_class(partition):
+    """partition.finals with the orientation of its largest class's representative moved to a
+    class of its own."""
+    largest = max(range(partition.class_count), key=partition.block_sizes.__getitem__)
+    finals = dict(partition.finals)
+    finals[orientation(partition.graph, partition.representatives[largest])] = partition.class_count
+    return finals

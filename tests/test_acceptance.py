@@ -16,6 +16,7 @@ from isotemporal import (
     TemporalNetwork,
     adjacency,
     brute_force_classes,
+    canonical_label_vectors,
     diaster_formula,
     diaster_signature,
     diaster_swap_permutation,
@@ -30,6 +31,7 @@ from isotemporal import (
     swap_neighbors,
 )
 from isotemporal.families import binary_swap_sequence, edge_count, enumerate_family_specs
+from reference_classes import blocks_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -117,8 +119,8 @@ def test_criterion_4_swap_closure_refines_temporal_isomorphism():
         g = generate(spec)
         brute = brute_force_classes(g)
         swap = swap_closure_classes(g)
-        temporal_index = {vec: i for i, block in enumerate(brute.blocks) for vec in block}
-        for block in swap.blocks:
+        temporal_index = {vec: i for i, block in enumerate(blocks_of(brute)) for vec in block}
+        for block in blocks_of(swap):
             if len({temporal_index[vec] for vec in block}) != 1:
                 violations += 1
     assert violations == 0
@@ -211,7 +213,7 @@ def test_criterion_9_temporal_isomorphism_is_an_equivalence():
     corpus = enumerate_family_specs(5, include_cycles=True)
     for spec in corpus:
         g = generate(spec)
-        reps = brute_force_classes(g).labelings()
+        reps = canonical_label_vectors(g)
         nets = [TemporalNetwork(g, vec) for vec in reps]
         size = len(nets)
         matrix = [

@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +30,13 @@ from isotemporal import classes, core
 from isotemporal.classes import LimitExceededError
 from isotemporal.cli import run
 from isotemporal.families import enumerate_family_specs
-from reference_classes import reference_brute_blocks, reference_swap_blocks
+from reference_classes import (
+    altered_swap_route,
+    blocks_of,
+    reference_brute_blocks,
+    reference_swap_blocks,
+    split_largest_class,
+)
 
 
 def pairwise_partition(g):
@@ -88,20 +93,19 @@ def test_brute_force_agrees_with_pairwise_union_find():
         Stem(Daisy(2), Daisy(2)),
     ):
         g = generate(spec)
-        assert brute_force_classes(g).blocks == pairwise_partition(g), spec
+        assert blocks_of(brute_force_classes(g)) == pairwise_partition(g), spec
 
 
 def test_partition_blocks_cover_canonical_labelings():
     for spec in (Diaster(1, 2), Cycle(4), Stem(Daisy(1), Star(2))):
         g = generate(spec)
         for partition in (brute_force_classes(g), swap_closure_classes(g)):
-            seen = [vec for block in partition.blocks for vec in block]
+            blocks = blocks_of(partition)
+            seen = [vec for block in blocks for vec in block]
             assert sorted(seen) == sorted(canonical_label_vectors(g))
             assert len(set(seen)) == len(seen)
-            for i, block in enumerate(partition.blocks):
-                assert all(partition.block_of(vec) == i for vec in block)
-            with pytest.raises(KeyError):
-                partition.block_of((0,) * g.edge_count)
+            assert tuple(map(len, blocks)) == partition.block_sizes
+            assert tuple(block[0] for block in blocks) == partition.representatives
 
 
 # -- swap moves ----------------------------------------------------------------
@@ -150,7 +154,7 @@ def test_swap_closure_diaster_1_1():
 
 def test_swap_closure_equals_brute_for_diaster_1_2():
     g = generate(Diaster(1, 2))
-    assert swap_closure_classes(g).blocks == brute_force_classes(g).blocks
+    assert blocks_of(swap_closure_classes(g)) == blocks_of(brute_force_classes(g))
 
 
 def test_swap_closure_beachball_2_single_block():
@@ -168,42 +172,9 @@ def test_compare_partitions_equal_for_two_sided_structures():
         assert report.witness is None
 
 
-def altered_swap_route(monkeypatch, alter):
-    """Replace the swap route by one whose final orientations fall into the classes
-    alter(true partition) gives, a map from orientation to class id."""
-    original = classes.swap_closure_classes
-
-    def fake(g, limit=classes.DEFAULT_EDGE_LIMIT):
-        true = original(g, limit)
-        finals = alter(true)
-        grouped = {}
-        for vec in canonical_label_vectors(g):
-            grouped.setdefault(finals[true.final_of(vec)], []).append(vec)
-        blocks = tuple(sorted(map(tuple, grouped.values())))
-        return SimpleNamespace(
-            graph=g,
-            method=true.method,
-            finals=finals,
-            blocks=blocks,
-            class_count=len(blocks),
-            block_sizes=tuple(map(len, blocks)),
-            representatives=tuple(block[0] for block in blocks),
-        )
-
-    monkeypatch.setattr(classes, "swap_closure_classes", fake)
-
-
-def split_largest_class(partition):
-    # the orientation of the largest class's first member moves to a new class
-    largest = max(range(partition.class_count), key=partition.block_sizes.__getitem__)
-    finals = dict(partition.finals)
-    finals[partition.final_of(partition.blocks[largest][0])] = partition.class_count
-    return finals
-
-
 def test_compare_partitions_reports_a_split_class(monkeypatch):
     g = generate(Cycle(5))
-    block = max(brute_force_classes(g).blocks, key=len)
+    block = max(blocks_of(brute_force_classes(g)), key=len)
     assert len(block) == 8
     altered_swap_route(monkeypatch, split_largest_class)
     report = compare_partitions(g)
@@ -237,7 +208,7 @@ def test_two_sided_partitions_coincide_through_eight_edges():
         if not isinstance(spec, (Diaster, Stem)):
             continue
         g = generate(spec)
-        assert swap_closure_classes(g).blocks == brute_force_classes(g).blocks, spec
+        assert blocks_of(swap_closure_classes(g)) == blocks_of(brute_force_classes(g)), spec
 
 
 def test_compare_partitions_single_edge():
@@ -297,9 +268,9 @@ def pseudographs(draw):
 @example(g=generate(Cycle(5)))
 @example(g=generate(Cycle(6)))
 def test_swap_closure_matches_swap_bfs_and_brute_force(g):
-    blocks = swap_closure_classes(g).blocks
+    blocks = blocks_of(swap_closure_classes(g))
     assert blocks == swap_bfs_partition(g)
-    assert blocks == brute_force_classes(g).blocks
+    assert blocks == blocks_of(brute_force_classes(g))
 
 
 @st.composite
@@ -330,9 +301,10 @@ def copied_components(draw):
 def test_partition_routes_match_indexing_over_every_element(g):
     # the package indexes orbit images over the transversal only; sizes and
     # representatives come from the walk, the blocks from canonical labelings
+    # grouped through the partition's final orientations
     routes = ((brute_force_classes, reference_brute_blocks), (swap_closure_classes, reference_swap_blocks))
     for partition, blocks in ((route(g), reference(g)) for route, reference in routes):
-        assert partition.blocks == blocks
+        assert blocks_of(partition) == blocks
         assert partition.block_sizes == tuple(map(len, blocks))
         assert partition.representatives == tuple(block[0] for block in blocks)
 
@@ -340,8 +312,8 @@ def test_partition_routes_match_indexing_over_every_element(g):
 def test_partition_routes_match_indexing_over_every_element_on_family_specs():
     for spec in enumerate_family_specs(7, include_cycles=True):
         g = generate(spec)
-        assert brute_force_classes(g).blocks == reference_brute_blocks(g), spec
-        assert swap_closure_classes(g).blocks == reference_swap_blocks(g), spec
+        assert blocks_of(brute_force_classes(g)) == reference_brute_blocks(g), spec
+        assert blocks_of(swap_closure_classes(g)) == reference_swap_blocks(g), spec
 
 
 def test_brute_route_reads_no_line_graph_orientation(monkeypatch):
@@ -360,7 +332,7 @@ def test_brute_route_reads_no_line_graph_orientation(monkeypatch):
             monkeypatch.setattr(module, "adjacency", forbidden)
     classes.brute_force_classes.cache_clear()
     for spec, g, blocks in zip(specs, graphs, expected):
-        assert brute_force_classes(g).blocks == blocks, spec
+        assert blocks_of(brute_force_classes(g)) == blocks, spec
 
 
 def burnside_cycle_count(n):
@@ -389,8 +361,8 @@ def test_partitions_are_deterministic():
     g = generate(Diaster(2, 2))
     assert brute_force_classes(g) == brute_force_classes(g)
     assert swap_closure_classes(g) == swap_closure_classes(g)
-    first = [tuple(b) for b in swap_closure_classes(g).blocks]
-    again = [tuple(b) for b in swap_closure_classes(g).blocks]
+    first = blocks_of(swap_closure_classes(g))
+    again = blocks_of(swap_closure_classes(g))
     assert first == again
 
 

@@ -16,6 +16,7 @@ from isotemporal import (
     TemporalNetwork,
     check_transfer_conditions,
     classes,
+    cli,
     generate,
     iso,
     parse_family_spec,
@@ -23,6 +24,7 @@ from isotemporal import (
     serialize_network,
 )
 from isotemporal.cli import EXIT_ERROR, EXIT_OK, run, verify
+from reference_classes import altered_swap_route, blocks_of, split_largest_class
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -74,6 +76,12 @@ def test_bad_family_spec_exits_one(capsys):
     assert "error" in err
 
 
+def test_classes_of_an_empty_family_spec_exits_one(capsys):
+    code, out, err = run_capture(capsys, ["classes", "--family", ""])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: bad family spec '': unknown family kind\n"
+
+
 def test_unknown_flag_exits_one_with_usage(capsys):
     code, _, err = run_capture(capsys, ["count", "--family", "star:1", "--wat"])
     assert code == EXIT_ERROR
@@ -84,6 +92,17 @@ def test_limit_exceeded_exits_one(capsys):
     code, _, err = run_capture(capsys, ["count", "--family", "diaster:4,5", "--method", "brute"])
     assert code == EXIT_ERROR
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [["count", "--method", "all"], ["classes"]])
+def test_limit_is_checked_before_the_family_graph_is_built(capsys, monkeypatch, argv):
+    def build(spec):
+        raise AssertionError("a graph past the limit was built")
+
+    monkeypatch.setattr(cli, "generate", build)
+    code, out, err = run_capture(capsys, [argv[0], "--family", "star:10000000", *argv[1:]])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == "error: graph has 10000000 edges, enumeration limit is 8\n"
 
 
 def test_classes_both_text(capsys):
@@ -320,10 +339,12 @@ def test_brute_route_refuses_a_state_past_the_path_limit(capsys, monkeypatch):
 
 
 def test_no_route_enumerates_canonical_labelings(capsys, monkeypatch):
-    # both routes walk prefix states; only the blocks view lists labelings
+    # both routes walk prefix states, and a partition holds its classes, not their labelings
     def enumerate_labelings(graph):
         raise AssertionError("canonical labelings were enumerated")
 
+    five = generate(parse_family_spec("cycle:5"))
+    block = max(blocks_of(classes.brute_force_classes(five)), key=len)
     original = iso.canonical_label_vectors
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "isotemporal" and getattr(module, "canonical_label_vectors", None) is original:
@@ -338,6 +359,17 @@ def test_no_route_enumerates_canonical_labelings(capsys, monkeypatch):
     code, out, err = run_capture(capsys, ["verify", "--max-edges", "6", "--format", "json", "--no-timing"])
     assert (code, err) == (EXIT_OK, "")
     assert out == (FIXTURES / "verify6.json").read_text(encoding="utf-8")
+    argv = ["classes", "--family", "cycle:9", "--method", "both", "--representatives", "--limit", "10", "--format", "json"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["equal"] is True
+    assert [(p["count"], len(p["representatives"])) for p in payload["partitions"]] == [(29, 29), (29, 29)]
+    # the witness of a split class comes from representatives alone
+    altered_swap_route(monkeypatch, split_largest_class)
+    report = classes.compare_partitions(five)
+    assert report.equal is False
+    assert report.witness == (block[0], block[2])
 
 
 def test_count_and_verify_keep_their_output_contract(capsys):

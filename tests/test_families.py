@@ -32,7 +32,7 @@ from isotemporal import (
     spec_string,
 )
 from isotemporal.families import NotGeneratedFamilyError, TwoSidedShape, recognize_two_sided
-from reference_classes import signature_blocks
+from reference_classes import blocks_of, signature_blocks
 from reference_iso import _vertex_bijections, pseudographs, relabeled, swapped
 
 
@@ -87,6 +87,23 @@ def test_spec_grammar_round_trip():
         parse_family_spec("diaster:1,x")
     with pytest.raises(InvalidFamilyError):
         parse_family_spec("stem:star:1")
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("diaster:1", "a diaster takes two comma-separated parameters"),
+        ("diaster:", "a diaster takes two comma-separated parameters"),
+        ("diaster:1,2,3", "a diaster takes two comma-separated parameters"),
+        ("diaster:x,1", "parameters must be integers"),
+        ("stem:star:1/", "a stem side is empty"),
+        ("stem:/star:1", "a stem side is empty"),
+    ],
+)
+def test_malformed_spec_names_the_whole_spec_and_the_reason(text, reason):
+    with pytest.raises(InvalidFamilyError) as exc:
+        parse_family_spec(text)
+    assert str(exc.value) == f"bad family spec {text!r}: {reason}"
 
 
 def test_enumerate_family_specs_bounds_and_order():
@@ -147,7 +164,7 @@ def test_signature_partition_matches_brute_force():
         if not isinstance(spec, (Diaster, Stem)):
             continue
         g = generate(spec)
-        assert signature_blocks(g) == brute_force_classes(g).blocks, spec
+        assert signature_blocks(g) == blocks_of(brute_force_classes(g)), spec
 
 
 def test_families_reads_nothing_from_the_partition_routes():
