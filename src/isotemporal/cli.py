@@ -23,7 +23,7 @@ from .classes import (
     compare_partitions,
     swap_closure_classes,
 )
-from .core import IsotemporalError, build_network, parse_network, serialize_network
+from .core import VERTEX_LIMIT, IsotemporalError, build_network, parse_network, serialize_network
 from .families import Diaster, FamilySpec, generate, parse_family_spec, spec_string
 from .iso import label_isomorphism_witness, temporal_isomorphism_witness
 from .paths import temporal_paths
@@ -53,11 +53,6 @@ def _load_network(path: str):
 def _family_graph(spec: FamilySpec, limit: int):
     check_limit(families.edge_count(spec), limit)  # before a graph of that size is built
     return generate(spec)
-
-
-def _identity_network(spec: FamilySpec):
-    graph = generate(spec)
-    return build_network(graph, [(e, e + 1) for e in range(graph.edge_count)])
 
 
 @dataclass(frozen=True)
@@ -230,8 +225,12 @@ def _cmd_swapscript(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    network = _identity_network(parse_family_spec(args.family))
-    text = serialize_network(network)
+    spec = parse_family_spec(args.family)
+    n = families.vertex_count(spec)
+    if n > VERTEX_LIMIT:  # before a graph of that size is built; no file command could read it
+        raise IsotemporalError(f"graph has {n} vertices, file limit is {VERTEX_LIMIT}")
+    graph = generate(spec)
+    text = serialize_network(build_network(graph, [(e, e + 1) for e in range(graph.edge_count)]))
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

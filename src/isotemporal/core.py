@@ -256,23 +256,18 @@ class TemporalNetwork:
 def build_network(graph: Pseudograph, labels: Iterable[tuple[int, int]]) -> TemporalNetwork:
     """Build a validated TemporalNetwork from (edge id, label) pairs.
 
-    The pairs must cover every edge exactly once with a bijection onto
-    {1..t}; each violation raises its own ValidationError subclass.
+    The pairs must name every edge once (UnknownEdgeError, DuplicateLabelError,
+    MissingLabelError); TemporalNetwork checks the labels are a bijection onto
+    {1..t}.
     """
     t = graph.edge_count
     assigned: dict[int, int] = {}
-    used_labels: set[int] = set()
     for eid, lab in labels:
         if not 0 <= eid < t:
             raise UnknownEdgeError(f"label entry names edge {eid}, but edge ids are 0..{t - 1}")
         if eid in assigned:
             raise DuplicateLabelError(f"edge {eid} labeled more than once")
-        if not 1 <= lab <= t:
-            raise LabelRangeError(f"label {lab} outside 1..{t}")
-        if lab in used_labels:
-            raise DuplicateLabelError(f"label {lab} used more than once")
         assigned[eid] = lab
-        used_labels.add(lab)
     if len(assigned) != t:
         missing = sorted(set(range(t)) - set(assigned))
         raise MissingLabelError(f"edges {missing} received no label")

@@ -1,11 +1,12 @@
 """Graph-family generators and the two-sided structure toolkit.
 
 Families: diasters D(a,b), stars, beachballs, daisies, cycles, and stem
-structures S(G,H) joining two star/beachball/daisy halves by a central
-edge.  Generators use fixed layouts: the central edge is always id 0
-between vertices 0 (left hub) and 1 (right hub); left edges take ids
-1..a, right edges a+1..a+b.  Stem(Star(a), Star(b)) is bit-identical to
-Diaster(a,b).
+structures S(G,H) joining two star/beachball/daisy sides by a central
+edge.  One fixed layout numbers every graph: a lone star, beachball or
+daisy is one side at hub 0; a two-sided graph has the central edge as id
+0 between vertices 0 (left hub) and 1 (right hub), then left edges as ids
+1..a and right edges as a+1..a+b.  A diaster has two star sides (a or b
+may be 0), so Stem(Star(a), Star(b)) is Diaster(a,b) by construction.
 
 The signature of a labeled two-sided graph (central label, count of left
 labels below it) is a complete isotemporal-class invariant, reflected
@@ -18,8 +19,9 @@ labeling onto the other up to label isomorphism.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .iso import _candidates, _first, edge_automorphism_group, temporal_isomorphism_witness
@@ -84,6 +86,7 @@ class Diaster:
 
 
 StemSide = Union[Star, Beachball, Daisy]
+_SIDES = (Star, Beachball, Daisy)
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class Stem:
 
     def __post_init__(self):
         for side in (self.left, self.right):
-            if not isinstance(side, (Star, Beachball, Daisy)):
+            if not isinstance(side, _SIDES):
                 raise InvalidFamilyError(f"stem sides must be star/beachball/daisy, got {side!r}")
 
 
@@ -133,9 +136,9 @@ def parse_family_spec(text: str) -> FamilySpec:
             value = int(rest)
             return {"star": Star, "beachball": Beachball, "daisy": Daisy, "cycle": Cycle}[kind](value)
         if kind == "stem":
-            left_s, sep, right_s = rest.partition("/")
-            if not sep:
+            if rest.count("/") != 1:
                 raise bad("stem needs two '/'-separated sides")
+            left_s, _, right_s = rest.partition("/")
             if not left_s.strip() or not right_s.strip():
                 raise bad("a stem side is empty")
             return Stem(parse_family_spec(left_s), parse_family_spec(right_s))
@@ -147,7 +150,7 @@ def parse_family_spec(text: str) -> FamilySpec:
 def edge_count(spec: FamilySpec) -> int:
     if isinstance(spec, Diaster):
         return spec.a + spec.b + 1
-    if isinstance(spec, (Star, Beachball, Daisy)):
+    if isinstance(spec, _SIDES):
         return spec.k
     if isinstance(spec, Cycle):
         return spec.n
@@ -156,45 +159,42 @@ def edge_count(spec: FamilySpec) -> int:
     raise InvalidFamilyError(f"unknown family spec {spec!r}")
 
 
-def _side_extra_vertices(side: StemSide) -> int:
-    if isinstance(side, Star):
-        return side.k
-    if isinstance(side, Beachball):
-        return 1
-    return 0
+def _side(kind: type, k: int, hub: int, first: int) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The new vertices (numbered from first) and the edges of a k-edge side at
+    hub: edges to k new vertices (star), to one (beachball), or loops (daisy)."""
+    if kind is Star:
+        return k, ((hub, first + i) for i in range(k))
+    if kind is Beachball:
+        return 1, itertools.repeat((hub, first), k)
+    return 0, itertools.repeat((hub, hub), k)
 
 
-def _side_edges(side: StemSide, hub: int, first_extra: int) -> list[tuple[int, int]]:
-    if isinstance(side, Star):
-        return [(hub, first_extra + i) for i in range(side.k)]
-    if isinstance(side, Beachball):
-        return [(hub, first_extra)] * side.k
-    return [(hub, hub)] * side.k
+def _layout(spec: FamilySpec) -> tuple[int, Iterator[tuple[int, int]]]:
+    """Vertex count and lazy edge pairs of the fixed layout of a family graph."""
+    if isinstance(spec, _SIDES):
+        extra, edges = _side(type(spec), spec.k, 0, 1)
+        return 1 + extra, edges
+    if isinstance(spec, Cycle):
+        return spec.n, ((i, (i + 1) % spec.n) for i in range(spec.n))
+    if isinstance(spec, Diaster):
+        (left, a), (right, b) = (Star, spec.a), (Star, spec.b)
+    elif isinstance(spec, Stem):
+        (left, a), (right, b) = (type(spec.left), spec.left.k), (type(spec.right), spec.right.k)
+    else:
+        raise InvalidFamilyError(f"unknown family spec {spec!r}")
+    left_extra, left_edges = _side(left, a, 0, 2)
+    right_extra, right_edges = _side(right, b, 1, 2 + left_extra)
+    return 2 + left_extra + right_extra, itertools.chain([(0, 1)], left_edges, right_edges)
+
+
+def vertex_count(spec: FamilySpec) -> int:
+    """Vertices of generate(spec), without building its edges."""
+    return _layout(spec)[0]
 
 
 def generate(spec: FamilySpec) -> Pseudograph:
     """Deterministic pseudograph for a family spec (fixed numbering)."""
-    if isinstance(spec, Star):
-        return Pseudograph.from_edges(spec.k + 1, [(0, i + 1) for i in range(spec.k)])
-    if isinstance(spec, Beachball):
-        return Pseudograph.from_edges(2, [(0, 1)] * spec.k)
-    if isinstance(spec, Daisy):
-        return Pseudograph.from_edges(1, [(0, 0)] * spec.k)
-    if isinstance(spec, Cycle):
-        return Pseudograph.from_edges(spec.n, [(i, (i + 1) % spec.n) for i in range(spec.n)])
-    if isinstance(spec, Diaster):
-        pairs = [(0, 1)]
-        pairs += [(0, 2 + i) for i in range(spec.a)]
-        pairs += [(1, 2 + spec.a + j) for j in range(spec.b)]
-        return Pseudograph.from_edges(spec.a + spec.b + 2, pairs)
-    if isinstance(spec, Stem):
-        left_extra = _side_extra_vertices(spec.left)
-        right_extra = _side_extra_vertices(spec.right)
-        pairs = [(0, 1)]
-        pairs += _side_edges(spec.left, 0, 2)
-        pairs += _side_edges(spec.right, 1, 2 + left_extra)
-        return Pseudograph.from_edges(2 + left_extra + right_extra, pairs)
-    raise InvalidFamilyError(f"unknown family spec {spec!r}")
+    return Pseudograph.from_edges(*_layout(spec))
 
 
 def enumerate_family_specs(max_edges: int, include_cycles: bool = False) -> list[FamilySpec]:
@@ -207,12 +207,10 @@ def enumerate_family_specs(max_edges: int, include_cycles: bool = False) -> list
             specs.append(Diaster(a, b))
     for k in range(1, max_edges + 1):
         specs += [Star(k), Beachball(k), Daisy(k)]
-    side_types = (Star, Beachball, Daisy)
-    for left_type in side_types:
-        for right_type in side_types:
-            for a in range(1, max_edges - 1):
-                for b in range(1, max_edges - a):
-                    specs.append(Stem(left_type(a), right_type(b)))
+    for left_type, right_type in itertools.product(_SIDES, repeat=2):
+        for a in range(1, max_edges - 1):
+            for b in range(1, max_edges - a):
+                specs.append(Stem(left_type(a), right_type(b)))
     if include_cycles:
         specs += [Cycle(n) for n in range(3, max_edges + 1)]
     return sorted(specs, key=spec_string)
@@ -225,10 +223,6 @@ class TwoSidedShape:
     a: int
     b: int
     reflective: bool
-
-    @property
-    def left_edge_ids(self) -> range:
-        return range(1, self.a + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,11 +237,9 @@ def recognize_two_sided(graph: Pseudograph) -> TwoSidedShape:
     a = len(graph.incidence.get(0, ())) - 1
     b = graph.edge_count - 1 - a
     if a >= 1 and b >= 1:
-        side_types = (Star, Beachball, Daisy)
-        for left_type in side_types:
-            for right_type in side_types:
-                if graph == generate(Stem(left_type(a), right_type(b))):
-                    return TwoSidedShape(a, b, a == b and left_type is right_type)
+        for left_type, right_type in itertools.product(_SIDES, repeat=2):
+            if graph == generate(Stem(left_type(a), right_type(b))):
+                return TwoSidedShape(a, b, a == b and left_type is right_type)
     raise NotGeneratedFamilyError("graph is not a generated diaster or stem structure")
 
 
@@ -276,7 +268,7 @@ def diaster_signature(network: TemporalNetwork) -> DiasterSignature:
     """Signature of a labeled generated diaster or stem structure."""
     shape = recognize_two_sided(network.graph)
     central = network.labeling[0]
-    k = sum(1 for e in shape.left_edge_ids if network.labeling[e] < central)
+    k = sum(1 for e in range(1, shape.a + 1) if network.labeling[e] < central)
     return DiasterSignature(central, k, shape.reflective)
 
 
@@ -418,7 +410,7 @@ def check_transfer_conditions(g: Pseudograph, h: Pseudograph) -> TransferReport:
         return all([phi[p[e]] for e in inverse] in aut_h for p in generators)
 
     if aut_g.order == aut_h.order and (found := _first(lg, lh, candidates, conjugates, None)):
-        return TransferReport(True, tuple(w for _, w in found.vertex_map), None)
+        return TransferReport(True, found.vertex_map, None)
     if _first(lg, lh, candidates, lambda phi, _: True, None) is None:
         return TransferReport(False, None, "edge-adjacency")
     return TransferReport(False, None, "edge-automorphisms")

@@ -48,23 +48,13 @@ class SearchLimitError(IsotemporalError):
 class EdgeIsomorphism:
     """A consistent (vertex bijection, edge bijection) pair.
 
-    ``vertex_map`` holds (vertex, image) pairs sorted by vertex;
-    ``edge_map[e]`` is the image edge id.  For every edge {u, v} the image
-    edge has endpoints {image(u), image(v)}.
+    ``vertex_map[v]`` is the image vertex and ``edge_map[e]`` the image
+    edge.  For every edge {u, v} the image edge has endpoints
+    {vertex_map[u], vertex_map[v]}.
     """
 
-    vertex_map: tuple[tuple[int, int], ...]
+    vertex_map: tuple[int, ...]
     edge_map: tuple[int, ...]
-
-    @cached_property
-    def _vdict(self) -> dict[int, int]:
-        return dict(self.vertex_map)
-
-    def map_vertex(self, v: int) -> int:
-        return self._vdict[v]
-
-    def map_edge(self, e: int) -> int:
-        return self.edge_map[e]
 
     def map_sequence(self, seq: tuple[int, ...]) -> tuple[int, ...]:
         em = self.edge_map
@@ -174,10 +164,6 @@ def _edge_maps(
             stack.pop()
 
 
-def _pair(vmap: tuple[int, ...], emap: tuple[int, ...]) -> EdgeIsomorphism:
-    return EdgeIsomorphism(tuple(enumerate(vmap)), emap)
-
-
 def _first(
     g: Pseudograph, h: Pseudograph, candidates: Sequence[Sequence[int]], keep: Callable, fits: Optional[Callable]
 ) -> Optional[EdgeIsomorphism]:
@@ -192,7 +178,7 @@ def _first(
     for found in _edge_maps(g, h, candidates, [SEARCH_LIMIT], bounded):
         if (best is None or found < best) and keep(*found):
             best = found
-    return None if best is None else _pair(*best)
+    return None if best is None else EdgeIsomorphism(*best)
 
 
 def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> tuple[EdgeIsomorphism, ...]:
@@ -205,7 +191,7 @@ def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> tuple[EdgeIsomorphism, 
     against SEARCH_LIMIT.
     """
     found = _edge_maps(g, h, _candidates(g.edge_kinds, h.edge_kinds), [SEARCH_LIMIT], None)
-    return tuple(_pair(*p) for p in sorted(found))
+    return tuple(EdgeIsomorphism(*p) for p in sorted(found))
 
 
 @functools.lru_cache(maxsize=None)

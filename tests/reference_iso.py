@@ -76,9 +76,8 @@ def reference_isomorphisms(g: Pseudograph, h: Pseudograph) -> list[EdgeIsomorphi
         return []
     out = []
     for vmap in _vertex_bijections(g, h):
-        vpairs = tuple(enumerate(vmap))
         for emap in _edge_bijections(g, h, vmap):
-            out.append(EdgeIsomorphism(vpairs, emap))
+            out.append(EdgeIsomorphism(vmap, emap))
     out.sort(key=lambda iso: (iso.vertex_map, iso.edge_map))
     return out
 

@@ -24,6 +24,7 @@ from isotemporal import (
     serialize_network,
 )
 from isotemporal.cli import EXIT_ERROR, EXIT_OK, run, verify
+from isotemporal.core import VERTEX_LIMIT
 from reference_classes import altered_swap_route, blocks_of, split_largest_class
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -610,6 +611,26 @@ def test_non_utf8_network_file_is_an_error(tmp_path, capsys):
         code, out, err = run_capture(capsys, argv)
         assert (code, out) == (EXIT_ERROR, ""), command
         assert err.startswith(f"error: cannot read {net}: 'utf-8' codec can't decode"), command
+
+
+def test_generated_file_below_the_vertex_limit_parses_back(tmp_path, capsys):
+    target = tmp_path / "s.net"
+    code, _, _ = run_capture(capsys, ["generate", "--family", "star:9999", "-o", str(target)])
+    assert code == EXIT_OK
+    assert cli._load_network(str(target)).graph.vertex_count == VERTEX_LIMIT
+
+
+@pytest.mark.parametrize("k", [VERTEX_LIMIT, 30_000_000])
+def test_generate_refuses_a_graph_past_the_vertex_limit(tmp_path, capsys, monkeypatch, k):
+    def build(spec):
+        raise AssertionError("a graph past the vertex limit was built")
+
+    monkeypatch.setattr(cli, "generate", build)
+    target = tmp_path / "s.net"
+    code, out, err = run_capture(capsys, ["generate", "--family", f"star:{k}", "-o", str(target)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: graph has {k + 1} vertices, file limit is {VERTEX_LIMIT}\n"
+    assert not target.exists()
 
 
 def test_generate_into_a_missing_directory_is_an_error(tmp_path, capsys):

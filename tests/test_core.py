@@ -44,6 +44,9 @@ def test_label_outside_range():
     g = Pseudograph.from_edges(2, [(0, 1)])
     with pytest.raises(LabelRangeError):
         build_network(g, [(0, 2)])
+    with pytest.raises(LabelRangeError) as exc:
+        build_network(generate(Beachball(2)), [(0, 1), (1, 7)])
+    assert str(exc.value) == "edge 1 label 7 outside 1..2"
 
 
 def test_duplicate_label():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -57,6 +58,19 @@ def test_stem_of_two_single_daisies():
     assert [pair for _, pair in g.edges] == [(0, 1), (0, 0), (1, 1)]
 
 
+def test_every_generated_layout_is_pinned():
+    # vertex count and edge pairs of every layout up to 14 edges, one-sided
+    # diasters included: a layout change is an output change
+    specs = enumerate_family_specs(14, include_cycles=True)
+    specs += [Diaster(0, b) for b in range(1, 14)] + [Diaster(a, 0) for a in range(1, 14)]
+    digest = hashlib.md5()
+    for spec in specs:
+        g = generate(spec)
+        digest.update(f"{spec_string(spec)} {g.vertex_count} {g.edges}\n".encode())
+    assert len(specs) == 824
+    assert digest.hexdigest() == "bc7a64f4eca3f134354baf5b7a6f6adc"
+
+
 def test_stem_of_stars_is_the_diaster():
     for a, b in [(1, 1), (1, 2), (2, 3)]:
         assert generate(Stem(Star(a), Star(b))) == generate(Diaster(a, b))
@@ -98,6 +112,7 @@ def test_spec_grammar_round_trip():
         ("diaster:x,1", "parameters must be integers"),
         ("stem:star:1/", "a stem side is empty"),
         ("stem:/star:1", "a stem side is empty"),
+        ("stem:star:1/star:1/star:1", "stem needs two '/'-separated sides"),
     ],
 )
 def test_malformed_spec_names_the_whole_spec_and_the_reason(text, reason):

@@ -59,7 +59,7 @@ def test_diasters_are_unordered():
     g, h = generate(Diaster(1, 2)), generate(Diaster(2, 1))
     for e in range(g.edge_count):
         u, v = g.endpoints(e)
-        assert set(h.endpoints(iso.map_edge(e))) == {iso.map_vertex(u), iso.map_vertex(v)}
+        assert set(h.endpoints(iso.edge_map[e])) == {iso.vertex_map[u], iso.vertex_map[v]}
 
 
 def test_group_orders_for_two_sided_families():
@@ -181,13 +181,13 @@ def test_edge_driven_search_matches_the_vertex_bijection_search(g, seed):
     isolated = [v for v in g.vertices if not g.incidence[v]]
 
     def increasing_on_isolated(p):
-        images = [p.map_vertex(v) for v in isolated]
+        images = [p.vertex_map[v] for v in isolated]
         return images == sorted(images)
 
     assert list(edge_isomorphisms(g, h)) == [p for p in reference if increasing_on_isolated(p)]
 
     def carries_labels(p):
-        return all(m.labeling[p.map_edge(e)] == n.labeling[e] for e in range(t))
+        return all(m.labeling[p.edge_map[e]] == n.labeling[e] for e in range(t))
 
     assert label_isomorphism_witness(n, m) == _first(reference, carries_labels)
 
@@ -216,7 +216,7 @@ def test_isolated_vertices_are_bound_in_increasing_order():
     assert [p.edge_map for p in pairs] == [(0, 1), (1, 0)]
     free = [w for w in range(10_000) if w not in (5, 7, 9_999)]
     for p in pairs:
-        assert [p.map_vertex(v) for v in range(3, 10_000)] == free
+        assert [p.vertex_map[v] for v in range(3, 10_000)] == free
 
 
 # -- label isomorphism -------------------------------------------------------
@@ -280,12 +280,12 @@ def test_witnesses_between_different_graphs_carry_labels_and_paths():
     iso = edge_isomorphisms(g, h)[-1]
     image = [0] * 4
     for e in range(4):
-        image[iso.map_edge(e)] = n2.labeling[e]
+        image[iso.edge_map[e]] = n2.labeling[e]
     m = TemporalNetwork(h, tuple(image))
 
     label = label_isomorphism_witness(n2, m)
     assert label is not None
-    assert all(m.labeling[label.map_edge(e)] == n2.labeling[e] for e in range(4))
+    assert all(m.labeling[label.edge_map[e]] == n2.labeling[e] for e in range(4))
     assert label_isomorphism_witness(n, m) is None
 
     for source in (n, n2):
