@@ -20,6 +20,7 @@ from isotemporal import (
     generate,
     iso,
     parse_family_spec,
+    parse_network,
     paths,
     serialize_network,
 )
@@ -617,7 +618,7 @@ def test_generated_file_below_the_vertex_limit_parses_back(tmp_path, capsys):
     target = tmp_path / "s.net"
     code, _, _ = run_capture(capsys, ["generate", "--family", "star:9999", "-o", str(target)])
     assert code == EXIT_OK
-    assert cli._load_network(str(target)).graph.vertex_count == VERTEX_LIMIT
+    assert parse_network(target.read_text(encoding="utf-8")).graph.vertex_count == VERTEX_LIMIT
 
 
 @pytest.mark.parametrize("k", [VERTEX_LIMIT, 30_000_000])
