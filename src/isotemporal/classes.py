@@ -11,8 +11,8 @@ consecutive incomparable elements.  compare_partitions cross-checks them.
 
 No route visits or lists a labeling: a partition holds its classes, not
 their members.  Both routes walk the DAG of prefix states, two layers at a
-time (_walk): the exact path set of a label prefix (paths._path_step), or
-the used edges with their orientation.  A state carries ``ways``, the
+time (_walk), as ints: a label prefix's exact path set (paths._path_step),
+or the used edges with their orientation.  A state carries ``ways``, the
 number of class-sorted label orders (increasing inside each twin class)
 reaching it.  The first edge is cut to twin-class heads least in their
 T-orbit, weighted by the orbit size.  T, the automorphisms increasing on
@@ -31,7 +31,6 @@ at most 7 edges repeat a graph.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +38,7 @@ from typing import Iterator, Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .iso import EdgePermutationGroup, edge_automorphism_group
-from .paths import _path_step
+from .paths import _bits, _path_step
 
 DEFAULT_EDGE_LIMIT = 8
 HARD_EDGE_CAP = 10
@@ -161,10 +160,7 @@ def brute_force_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Clas
     temporally isomorphic.
     """
 
-    def path_set(state: tuple[int, dict]) -> frozenset[bytes]:
-        return frozenset(itertools.chain.from_iterable(state[1].values()))
-
-    return _partition(g, METHOD_TEMPORAL, limit, (0, {}), _path_step(g), path_set)
+    return _partition(g, METHOD_TEMPORAL, limit, *_path_step(g))
 
 
 def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
@@ -193,15 +189,19 @@ def swap_closure_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Cla
     line-graph orientation, so labelings are grouped by orientation up to
     automorphism.  The result equals brute_force_classes on every graph.
     """
-    adj = adjacency(g)
-    arrow = [[bytes((a, b)) for b in range(g.edge_count)] for a in range(g.edge_count)]
+    t, adj = g.edge_count, adjacency(g)
+    into = [sum(1 << z for z in adj.neighbors[e]) for e in range(t)]
+    arrow = [bytes((z, e)) for e in range(t) for z in range(t)]  # bit e*t + z -> the arrow z -> e
 
-    def step(before: frozenset[bytes], used: int, e: int) -> tuple[frozenset[bytes], frozenset[bytes]]:
+    def step(before: int, used: int, e: int) -> tuple[int, int]:
         # every labeled neighbour of e comes before it
-        before = before.union([arrow[z][e] for z in adj.neighbors[e] if used >> z & 1])
+        before |= (used & into[e]) << e * t
         return before, before
 
-    return _partition(g, METHOD_SWAP, limit, frozenset(), step, frozenset)
+    def arrows(before: int) -> frozenset[bytes]:
+        return frozenset(arrow[b] for b in _bits(before))
+
+    return _partition(g, METHOD_SWAP, limit, 0, step, arrows)
 
 
 @dataclass(frozen=True)

@@ -363,6 +363,9 @@ def run(argv=None) -> int:
     except IsotemporalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:  # a family with few vertices and very many edges, or a dense graph's walk
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def main() -> None:

@@ -18,13 +18,15 @@ partition walk steps the sweep once per distinct prefix path set
 (``_path_step``): prefixes with one path set share every continuation, as
 a step reads only the walks, the edges used so far are the one-edge
 paths, and a sequence's walks (at most two, ending at different
-vertices) follow from the graph.
+vertices) follow from the graph.  There a path set is an int mask, one
+bit per sequence the walk meets, and a step ORs in the extensions of the
+walks at the new edge's ends, each built once per walk mask and edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork
 
@@ -45,22 +47,17 @@ class TemporalPath:
         return len(self.edge_ids)
 
 
-def _add_edge(ends: dict[int, list], ext: tuple[int] | bytes, u: int, v: int) -> list:
-    """Add edge {u, v} (``ext``: it as a 1-tuple or 1 byte), labeled above all in ``ends``
-    (vertex -> sequences whose walk ends there), in place; return the new walks."""
-    at_u, at_v = ends.setdefault(u, []), ends.setdefault(v, [])
-    onward = [seq + ext for seq in at_u] + [ext]  # walks at u cross to v
-    back = [seq + ext for seq in at_v] + [ext] if u != v else []
-    at_v += onward
-    at_u += back
-    return onward + back
-
-
 def _enumerate(network: TemporalNetwork) -> set[tuple[int, ...]]:
     """Every temporal-path edge sequence of the network."""
     g, ends, walks = network.graph, {}, 0  # ends: vertex -> edge sequences whose walk ends there
     for eid in sorted(range(g.edge_count), key=network.labeling.__getitem__):
-        walks += len(_add_edge(ends, (eid,), *g.endpoints(eid)))
+        u, v = g.endpoints(eid)
+        at_u, at_v = ends.setdefault(u, []), ends.setdefault(v, [])
+        onward = [seq + (eid,) for seq in at_u] + [(eid,)]  # walks at u cross to v
+        back = [seq + (eid,) for seq in at_v] + [(eid,)] if u != v else []
+        at_v += onward
+        at_u += back
+        walks += len(onward) + len(back)
         if walks > 2 * PATH_LIMIT:  # at most two walks a sequence: already too many
             break
     found = {seq for at in ends.values() for seq in at}
@@ -69,26 +66,55 @@ def _enumerate(network: TemporalNetwork) -> set[tuple[int, ...]]:
     return found
 
 
-def _path_step(g: Pseudograph) -> Callable:
-    """The brute walk's step on g (< 256 edges): (state, used edges, next edge) -> (key, state).
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, highest first, by bit_length: a sparse mask costs its set bits only."""
+    while mask:
+        b = mask.bit_length() - 1
+        yield b
+        mask ^= 1 << b
 
-    A state is the path set of a label prefix, keyed by a mask with one bit per sequence, with
-    its walks (edge-id bytes) ending at each vertex; each state checks PATH_LIMIT.
+
+def _path_step(g: Pseudograph) -> tuple[tuple, Callable, Callable]:
+    """The brute walk on g (< 256 edges): (start state, step, path set of a state).
+
+    step(state, used edges, next edge) -> (key, state).  A state (mask, ends) holds the prefix's
+    sequences and, per vertex, those whose walk ends there, as masks over the bits this walk
+    numbers.  Extensions by an edge are memoised per (ends[x], edge), every state checks
+    PATH_LIMIT, and path_set decodes a state's mask to edge-id bytes.
     """
+    seqs: list[bytes] = []  # bit -> sequence
     bit_of: dict[bytes, int] = {}
+    extended: list[dict[int, int]] = [{} for _ in range(g.edge_count)]  # per edge: ends[x] -> new walks
 
-    def step(state: tuple[int, dict], used: int, e: int) -> tuple[int, tuple[int, dict]]:
+    def extend(at: int, e: int) -> int:
+        new = extended[e].get(at)
+        if new is None:
+            new = 0
+            for seq in [b""] + [seqs[b] for b in _bits(at)]:
+                seq += bytes((e,))
+                b = bit_of.setdefault(seq, len(seqs))
+                if b == len(seqs):
+                    seqs.append(seq)
+                new |= 1 << b
+            extended[e][at] = new
+        return new
+
+    def step(state: tuple[int, tuple[int, ...]], used: int, e: int) -> tuple[int, tuple]:
         mask, ends = state
         u, v = g.endpoints(e)
-        ends = dict(ends)
-        ends[u], ends[v] = ends.get(u, [])[:], ends.get(v, [])[:]  # the lists _add_edge grows
-        for seq in _add_edge(ends, bytes((e,)), u, v):
-            mask |= 1 << bit_of.setdefault(seq, len(bit_of))
+        onward, back = extend(ends[u], e), extend(ends[v], e) if u != v else 0  # onward: u to v
+        ends = list(ends)
+        ends[v] |= onward
+        ends[u] |= back
+        mask |= onward | back
         if mask.bit_count() > PATH_LIMIT:
             raise PathLimitError(f"more than {PATH_LIMIT} temporal paths")
-        return mask, (mask, ends)
+        return mask, (mask, tuple(ends))
 
-    return step
+    def path_set(state: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
+        return frozenset(seqs[b] for b in _bits(state[0]))
+
+    return (0, (0,) * g.vertex_count), step, path_set
 
 
 def _trace(g: Pseudograph, seq: tuple[int, ...]) -> tuple[int, ...]:

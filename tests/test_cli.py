@@ -332,6 +332,19 @@ def test_verify_ten_keeps_its_output_contract(capsys):
     assert hashlib.md5(out.encode()).hexdigest() == "e2537c724cfc08c6b64c899ac32f4544"
 
 
+@pytest.mark.parametrize(
+    "spec, digest",
+    [("cycle:10", "e15a80a4c98405e2498bad90341918ea"), ("stem:daisy:4/daisy:5", "a7adae5a45bb99186a3f23c1f313e37c")],
+)
+def test_classes_above_eight_edges_keep_their_output(capsys, spec, digest):
+    # representatives and class sizes past classes8.json, as both routes gave them with
+    # container states; they read each class's arrows back from its final state
+    argv = ["classes", "--family", spec, "--method", "both", "--representatives", "--format", "json", "--limit", "10"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_brute_route_refuses_a_state_past_the_path_limit(capsys, monkeypatch):
     monkeypatch.setattr(paths, "PATH_LIMIT", 12)
     classes.brute_force_classes.cache_clear()
@@ -631,6 +644,17 @@ def test_generate_refuses_a_graph_past_the_vertex_limit(tmp_path, capsys, monkey
     code, out, err = run_capture(capsys, ["generate", "--family", f"star:{k}", "-o", str(target)])
     assert (code, out) == (EXIT_ERROR, "")
     assert err == f"error: graph has {k + 1} vertices, file limit is {VERTEX_LIMIT}\n"
+    assert not target.exists()
+
+
+def test_running_out_of_memory_exits_1_with_a_reason(tmp_path, capsys, monkeypatch):
+    def build(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate", build)
+    target = tmp_path / "d.net"
+    code, out, err = run_capture(capsys, ["generate", "--family", "daisy:3", "-o", str(target)])
+    assert (code, out, err) == (EXIT_ERROR, "", "error: out of memory\n")
     assert not target.exists()
 
 

@@ -171,13 +171,10 @@ def test_shared_sweep_matches_the_stack_dfs_on_every_labeling(g, rng):
     rng.shuffle(pairs)
     g = Pseudograph.from_edges(g.vertex_count, pairs)
     group = edge_automorphism_group(g)
-    walked = list(classes._walk(g, group, (0, {}), paths._path_step(g)))
+    start, step, path_set = paths._path_step(g)
+    walked = list(classes._walk(g, group, start, step))
     tables = [bytes([*p, *range(g.edge_count, 256)]) for p in group.transversal]
-    closure = {
-        frozenset(seq.translate(table) for seq in itertools.chain.from_iterable(ends.values()))
-        for (_, ends), _ in walked
-        for table in tables
-    }
+    closure = {frozenset(seq.translate(table) for seq in path_set(state)) for state, _ in walked for table in tables}
     twins = [c for c in group.twin_classes if len(c) > 1]
     sorted_labelings = [
         vec
