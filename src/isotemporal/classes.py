@@ -190,7 +190,9 @@ def swap_closure_classes(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> Cla
     automorphism.  The result equals brute_force_classes on every graph.
     """
     t, adj = g.edge_count, adjacency(g)
-    into = [sum(1 << z for z in adj.neighbors[e]) for e in range(t)]
+    into = [0] * t  # per edge, its neighbours as a mask
+    for a, b in adj.pairs:
+        into[a], into[b] = into[a] | 1 << b, into[b] | 1 << a
     arrow = [bytes((z, e)) for e in range(t) for z in range(t)]  # bit e*t + z -> the arrow z -> e
 
     def step(before: int, used: int, e: int) -> tuple[int, int]:

@@ -82,16 +82,15 @@ def _path_step(g: Pseudograph) -> tuple[tuple, Callable, Callable]:
     numbers.  Extensions by an edge are memoised per (ends[x], edge), every state checks
     PATH_LIMIT, and path_set decodes a state's mask to edge-id bytes.
     """
-    seqs: list[bytes] = []  # bit -> sequence
-    bit_of: dict[bytes, int] = {}
+    seqs, bit_of = [], {}  # bit -> edge-id bytes of its sequence, and back
     extended: list[dict[int, int]] = [{} for _ in range(g.edge_count)]  # per edge: ends[x] -> new walks
 
     def extend(at: int, e: int) -> int:
         new = extended[e].get(at)
         if new is None:
-            new = 0
+            new, ext = 0, bytes((e,))
             for seq in [b""] + [seqs[b] for b in _bits(at)]:
-                seq += bytes((e,))
+                seq += ext
                 b = bit_of.setdefault(seq, len(seqs))
                 if b == len(seqs):
                     seqs.append(seq)
