@@ -22,8 +22,8 @@ orientations (or path sets) iff they have T-related ones.  So the classes
 are the T-orbits of final states, each holding sum(ways) / |T| canonical
 labelings.  The representative, a class's least canonical labeling, is the
 least of the least linear extensions of the T-images of its orientation
-(read from 2-paths by the brute route); it orders the classes, and
-compare_partitions joins the routes' classes through these orientations.
+(read from 2-paths by the brute route); an injective name for the orbit of
+that orientation, it orders the classes and joins the routes' classes.
 Each route caches its partition per (graph, limit): 39 of the 165 specs of
 at most 7 edges repeat a graph.
 """
@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
-from .iso import EdgePermutationGroup, edge_automorphism_group
+from .iso import EdgePermutationGroup, edge_automorphism_group, is_temporal_isomorphic
 from .paths import _bits, _path_step
 
 DEFAULT_EDGE_LIMIT = 8
@@ -62,15 +62,11 @@ def _tables(g: Pseudograph) -> list[bytes]:
     return [bytes([*p, *range(g.edge_count, 256)]) for p in edge_automorphism_group(g).transversal]
 
 
-def _arrows(seqs) -> bytes:
-    # an orientation, kept small: its arrows (a, b), a labeled first, sorted and joined
-    return b"".join(sorted(seq for seq in seqs if len(seq) == 2))
-
-
 @dataclass(frozen=True)
 class ClassPartition:
-    """The isotemporal classes of one graph: per class, in walk order, the arrows of one of its
-    final states and its number of canonical labelings.  The other views are built on first use."""
+    """The isotemporal classes of one graph: per class, in walk order, the arrows (a, b) of one of
+    its final states, a labeled first, sorted and joined, and its number of canonical labelings.
+    The other views are built on first use."""
 
     graph: Pseudograph
     method: str
@@ -81,23 +77,17 @@ class ClassPartition:
         return len(self.classes)
 
     @cached_property
-    def _ranked(self) -> list[tuple[tuple[int, ...], int, bytes]]:  # (representative, size, arrows)
+    def _ranked(self) -> list[tuple[tuple[int, ...], int]]:  # (representative, size)
         t, tables = self.graph.edge_count, _tables(self.graph)
-        reps = [min(_least_extension(t, key.translate(p)) for p in tables) for key, _ in self.classes]
-        return sorted((rep, size, key) for rep, (key, size) in zip(reps, self.classes))
+        return sorted((min(_least_extension(t, key.translate(p)) for p in tables), size) for key, size in self.classes)
 
     @property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(rep for rep, _, _ in self._ranked)
+        return tuple(rep for rep, _ in self._ranked)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(size for _, size, _ in self._ranked)
-
-    @cached_property
-    def finals(self) -> dict[bytes, int]:  # the arrows of every final state -> its class's index
-        images = ((i, key.translate(p)) for p in _tables(self.graph) for i, (_, _, key) in enumerate(self._ranked))
-        return {_arrows(image[k : k + 2] for k in range(0, len(image), 2)): i for i, image in images}
+        return tuple(size for _, size in self._ranked)
 
 
 def _walk(g: Pseudograph, group: EdgePermutationGroup, start, step) -> Iterator[tuple]:
@@ -146,7 +136,7 @@ def _partition(g: Pseudograph, method: str, limit: int, start, step, final) -> C
         if c is None:
             c = len(found)
             class_of.update(dict.fromkeys((frozenset(seq.translate(p) for seq in key) for p in tables), c))
-            found.append([_arrows(key), 0])
+            found.append([b"".join(sorted(seq for seq in key if len(seq) == 2)), 0])
         found[c][1] += ways
     return ClassPartition(g, method, tuple((key, ways // len(group.transversal)) for key, ways in found))
 
@@ -218,23 +208,31 @@ class ComparisonReport:
 
 
 def compare_partitions(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ComparisonReport:
-    """Compare swap closure against temporal isomorphism on one graph.
+    """Compare swap closure against temporal isomorphism on one graph, joined on representatives.
 
-    Verifies that swap closure refines temporal isomorphism (a violation is an internal
-    error, never a finding); when the partitions differ, a witness pair of labelings that
-    are temporally isomorphic yet in different swap orbits is included.
+    Swap closure must refine temporal isomorphism (a violation is an internal error, never a
+    finding).  When it splits a class, the witness pairs that class's representative with
+    another swap representative which the witness search, used by neither walk, finds
+    temporally isomorphic to it: the least such pair.
     """
     temporal, swap = brute_force_classes(g, limit), swap_closure_classes(g, limit)
-    # join the classes through their final orientations; the brute route reads its own from
-    # 2-paths, and two of its classes with one orientation orbit leave one of them unmet
-    met = {(c, swap.finals[before]) for before, c in temporal.finals.items()}
-    if len({s for _, s in met}) != len(met) or len({c for c, _ in met}) != temporal.class_count:
+    for p in (temporal, swap):
+        if len(set(p.representatives)) < p.class_count:
+            raise IsotemporalError(f"internal error: two {p.method} classes share a representative")
+    reps, swap_reps = temporal.representatives, set(swap.representatives)
+    if not swap_reps.issuperset(reps):
         raise IsotemporalError("internal error: swap closure does not refine temporal isomorphism")
-    if swap.class_count == temporal.class_count:
+    if swap.representatives == reps:
+        if swap.block_sizes != temporal.block_sizes:
+            raise IsotemporalError("internal error: the routes give a class two different sizes")
         return ComparisonReport(g, temporal, swap, True, None)
-    # a strict refinement splits some class.  A class's representative, its least canonical
-    # labeling, also represents its own swap class; the witness pairs it, in the first split
-    # class, with the least representative of that class's other swap classes
-    reps, swap_reps = temporal.representatives, swap.representatives
-    c, other = min((c, swap_reps[s]) for c, s in met if swap_reps[s] != reps[c])
-    return ComparisonReport(g, temporal, swap, False, (reps[c], other))
+    # a class's least canonical labeling also represents its own swap class; each other swap
+    # class must be temporally isomorphic to some class's representative
+    pairs = []
+    for other in swap_reps.difference(reps):
+        net = TemporalNetwork(g, other)
+        rep = next((r for r in reps if is_temporal_isomorphic(TemporalNetwork(g, r), net)), None)
+        if rep is None:
+            raise IsotemporalError("internal error: a swap-closure class matches no temporal-isomorphism class")
+        pairs.append((rep, other))
+    return ComparisonReport(g, temporal, swap, False, min(pairs))

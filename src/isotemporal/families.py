@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
-from .iso import _candidates, _first, edge_automorphism_group, temporal_isomorphism_witness
+from .iso import _candidates, _first, edge_automorphism_group, label_isomorphism_witness, temporal_isomorphism_witness
 
 
 class InvalidFamilyError(IsotemporalError):
@@ -344,15 +344,15 @@ def diaster_swap_permutation(n: TemporalNetwork, m: TemporalNetwork) -> SwapScri
     label-isomorphic to m, on any two pseudographs; NoSwapScriptError when
     the two networks are not temporally isomorphic.
 
-    With phi the temporal isomorphism witness, the target gives edge e the
-    label m puts on phi(e).  Over n's edges ordered by label, each target
-    edge is walked down to its label, as binary_swap_sequence walks side
-    bits.  phi keeps the label order of every adjacent pair, so n and the
-    target order adjacent edges alike, and swaps keep that.  Every edge a
-    walk passes is therefore inverted relative to the target, and so not
-    adjacent to the walked edge.
+    With phi the label isomorphism witness (the target is n, no swaps), or
+    else the temporal one, the target gives edge e the label m puts on
+    phi(e).  Over n's edges ordered by label, each target edge is walked
+    down to its label, as binary_swap_sequence walks side bits.  phi keeps
+    the label order of every adjacent pair, so n and the target order
+    adjacent edges alike, and swaps keep that.  Every edge a walk passes is
+    therefore inverted relative to the target, and so not adjacent to it.
     """
-    phi = temporal_isomorphism_witness(n, m)
+    phi = label_isomorphism_witness(n, m) or temporal_isomorphism_witness(n, m)
     if phi is None:
         raise NoSwapScriptError("not temporally isomorphic; no script exists")
     want = tuple(m.labeling[y] for y in phi.edge_map)

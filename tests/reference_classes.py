@@ -81,40 +81,48 @@ def signature_blocks(g):
 
 
 def orientation(g, vec):
-    """vec's orientation of the line graph as ClassPartition.finals keys it: the arrows (a, b),
-    a labeled first, as sorted and joined bytes."""
+    """vec's orientation of the line graph: the arrows (a, b), a labeled first, as sorted and
+    joined bytes."""
     return b"".join(sorted(bytes((a, b) if vec[a] < vec[b] else (b, a)) for a, b in adjacency(g).pairs))
 
 
-def blocks_of(partition):
-    """The canonical labelings of each class of partition, in representative order: each goes
-    to the class its orientation names in partition.finals."""
+def class_of_orientation(partition):
+    """Every orientation of a canonical labeling -> its class's index in representative order:
+    the images of each representative's orientation under the transversal."""
     g = partition.graph
-    if partition.class_count == 1:
-        return (canonical_label_vectors(g),)
+    transversal, out = edge_automorphism_group(g).transversal, {}
+    for i, rep in enumerate(partition.representatives):
+        arrows = orientation(g, rep)
+        for p in transversal:
+            out[b"".join(sorted(bytes((p[a], p[b])) for a, b in zip(arrows[::2], arrows[1::2])))] = i
+    return out
+
+
+def blocks_of(partition):
+    """The canonical labelings of each class of partition, in representative order."""
+    g = partition.graph
+    class_of = class_of_orientation(partition)
     blocks = [[] for _ in range(partition.class_count)]
     for vec in canonical_label_vectors(g):
-        blocks[partition.finals[orientation(g, vec)]].append(vec)
+        blocks[class_of[orientation(g, vec)]].append(vec)
     return tuple(map(tuple, blocks))
 
 
 def altered_swap_route(monkeypatch, alter):
-    """Replace the swap route by one whose final orientations fall into the classes
+    """Replace the swap route by one whose canonical labelings fall into the classes
     alter(true partition) gives, a map from orientation to class id."""
     original = classes.swap_closure_classes
 
     def fake(g, limit=classes.DEFAULT_EDGE_LIMIT):
         true = original(g, limit)
-        finals = alter(true)
+        class_of = alter(true)
         grouped = {}
         for vec in canonical_label_vectors(g):
-            grouped.setdefault(finals[orientation(g, vec)], []).append(vec)
-        rank = {c: i for i, c in enumerate(sorted(grouped, key=grouped.get))}  # class ids by representative
+            grouped.setdefault(class_of[orientation(g, vec)], []).append(vec)
         blocks = sorted(grouped.values())
         return SimpleNamespace(
             graph=g,
             method=true.method,
-            finals={key: rank[c] for key, c in finals.items()},
             class_count=len(blocks),
             block_sizes=tuple(map(len, blocks)),
             representatives=tuple(block[0] for block in blocks),
@@ -124,9 +132,9 @@ def altered_swap_route(monkeypatch, alter):
 
 
 def split_largest_class(partition):
-    """partition.finals with the orientation of its largest class's representative moved to a
-    class of its own."""
+    """class_of_orientation(partition) with the orientation of its largest class's
+    representative moved to a class of its own."""
     largest = max(range(partition.class_count), key=partition.block_sizes.__getitem__)
-    finals = dict(partition.finals)
-    finals[orientation(partition.graph, partition.representatives[largest])] = partition.class_count
-    return finals
+    class_of = class_of_orientation(partition)
+    class_of[orientation(partition.graph, partition.representatives[largest])] = partition.class_count
+    return class_of

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from isotemporal import (
     Beachball,
+    ClassPartition,
     Cycle,
     Daisy,
     Diaster,
@@ -30,9 +31,11 @@ from isotemporal import classes, core
 from isotemporal.classes import LimitExceededError
 from isotemporal.cli import run
 from isotemporal.families import enumerate_family_specs
+from reference_census import census
 from reference_classes import (
     altered_swap_route,
     blocks_of,
+    class_of_orientation,
     reference_brute_blocks,
     reference_swap_blocks,
     split_largest_class,
@@ -181,15 +184,42 @@ def test_compare_partitions_reports_a_split_class(monkeypatch):
     assert report.equal is False
     # block[1] has block[0]'s orientation, so no split of orientations parts the two
     assert report.witness == (block[0], block[2])
+    assert is_temporal_isomorphic(*(TemporalNetwork(g, vec) for vec in report.witness))
     assert report.temporal == brute_force_classes(g)
     assert report.swap.class_count == report.temporal.class_count + 1
 
 
 def test_compare_partitions_rejects_merged_classes(monkeypatch):
     g = generate(Cycle(5))
-    altered_swap_route(monkeypatch, lambda p: {before: max(c - 1, 0) for before, c in p.finals.items()})
+    altered_swap_route(monkeypatch, lambda p: {key: max(c - 1, 0) for key, c in class_of_orientation(p).items()})
     with pytest.raises(core.IsotemporalError, match="does not refine"):
         compare_partitions(g)
+
+
+@pytest.mark.parametrize(
+    "route, alter, reason",
+    [
+        ("swap_closure_classes", lambda c: c[:-1], "swap closure does not refine temporal isomorphism"),
+        (
+            "brute_force_classes",
+            lambda c: c[:-2] + ((c[-2][0], c[-2][1] + c[-1][1]),),
+            "a swap-closure class matches no temporal-isomorphism class",
+        ),
+        ("brute_force_classes", lambda c: ((c[0][0], c[0][1] + 1),) + c[1:], "the routes give a class two different sizes"),
+        ("swap_closure_classes", lambda c: c + c[:1], "two swap-closure classes share a representative"),
+    ],
+)
+def test_classes_both_exits_one_with_a_reason_on_a_faulty_route(monkeypatch, capsys, route, alter, reason):
+    # a route that drops, merges, resizes or repeats a class is an internal error, never a traceback
+    original = getattr(classes, route)
+
+    def faulty(g, limit=classes.DEFAULT_EDGE_LIMIT):
+        p = original(g, limit)
+        return ClassPartition(g, p.method, alter(p.classes))
+
+    monkeypatch.setattr(classes, route, faulty)
+    code = run(["classes", "--family", "cycle:5", "--method", "both"])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: internal error: {reason}\n")
 
 
 def test_classes_both_exits_two_when_the_routes_differ(monkeypatch, capsys):
@@ -209,6 +239,14 @@ def test_two_sided_partitions_coincide_through_eight_edges():
             continue
         g = generate(spec)
         assert blocks_of(swap_closure_classes(g)) == blocks_of(brute_force_classes(g)), spec
+
+
+def test_partitions_coincide_on_every_pseudograph_of_at_most_six_edges():
+    # the census holds one graph per isomorphism class, loops and parallel edges included
+    layers = census(6)
+    assert [len(layer) for layer in layers] == [2, 7, 23, 79, 274, 1003]
+    for g in (g for layer in layers for g in layer):
+        assert compare_partitions(g, 6).equal, g
 
 
 def test_compare_partitions_single_edge():

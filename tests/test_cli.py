@@ -183,7 +183,9 @@ def test_swapscript_on_the_five_cycle_fixtures(capsys):
 def test_swapscript_keeps_its_output_contract(tmp_path, capsys):
     # swapscripts.json holds the output of swapscript, captured before scripts
     # followed the temporal witness, on four seeded pairs per two-sided spec
-    # of at most 7 edges: random, swaps then an automorphism, two of equal signature
+    # of at most 7 edges: random, swaps then an automorphism, two of equal signature.
+    # Its 13 label-isomorphic pairs that had steps read steps: 0 since scripts
+    # follow a label isomorphism when there is one
     a, b = tmp_path / "a.net", tmp_path / "b.net"
     for case in json.loads((FIXTURES / "swapscripts.json").read_text(encoding="utf-8")):
         g = generate(parse_family_spec(case["family"]))

@@ -325,14 +325,22 @@ def test_signature_mismatch_raises_no_script_error():
 def test_cycle_gets_a_script():
     # scripts follow the temporal witness, so graphs outside the two-sided
     # layouts get them too
-    g = generate(Cycle(4))
-    n = build_network(g, list(enumerate((1, 3, 2, 4))))
-    m = build_network(g, list(enumerate((3, 1, 4, 2))))
+    g = generate(Cycle(5))
+    n = build_network(g, list(enumerate((1, 3, 2, 4, 5))))
+    m = build_network(g, list(enumerate((1, 3, 5, 2, 4))))
     script = diaster_swap_permutation(n, m)
     assert [(s.labels, s.edges) for s in script] == [((1, 2), (0, 2)), ((3, 4), (1, 3))]
     assert is_label_isomorphic(apply_swap_script(n, script), m)
     with pytest.raises(NoSwapScriptError):
-        diaster_swap_permutation(n, build_network(g, list(enumerate((1, 2, 3, 4)))))
+        diaster_swap_permutation(n, build_network(g, list(enumerate((1, 2, 3, 4, 5)))))
+    # on a 4-cycle these partners are reflections of n (through the midpoints
+    # of edges 1 and 3, or through vertices 1 and 3), so the script is empty
+    g = generate(Cycle(4))
+    n = build_network(g, list(enumerate((1, 3, 2, 4))))
+    for labels in ((2, 3, 1, 4), (3, 1, 4, 2)):
+        m = build_network(g, list(enumerate(labels)))
+        assert is_label_isomorphic(n, m)
+        assert len(diaster_swap_permutation(n, m)) == 0
 
 
 def test_reflection_case_uses_the_mirror_target():
@@ -374,6 +382,7 @@ def test_script_exists_iff_temporally_isomorphic(g, rng):
     assert (script is not None) == is_temporal_isomorphic(n, m) == oracle
     assert script is not None or not partner
     if script is not None:
+        assert (len(script) == 0) == is_label_isomorphic(n, m)
         # independent replay: sequential labels on non-adjacent edges
         labeling = list(a)
         for step in script:
