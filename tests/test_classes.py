@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +31,7 @@ from isotemporal import (
 )
 from isotemporal import classes, core
 from isotemporal.classes import LimitExceededError
+from isotemporal.iso import SearchLimitError
 from isotemporal.cli import run
 from isotemporal.families import enumerate_family_specs
 from reference_census import census
@@ -415,3 +418,88 @@ def test_hard_cap_is_never_exceeded():
     g = generate(Diaster(5, 5))
     with pytest.raises(LimitExceededError):
         swap_closure_classes(g, limit=99)
+
+
+ROUTES = (brute_force_classes, swap_closure_classes)
+
+
+def clear_partition_caches():
+    for route in ROUTES:
+        route.cache_clear()
+
+
+def summary(p):
+    return p.method, p.class_count, p.representatives, p.block_sizes
+
+
+def renumber(g, vertex_map, edge_order):
+    """g with vertex v renamed vertex_map[v] and new edge i the old edge edge_order[i]."""
+    pairs = [g.endpoints(e) for e in edge_order]
+    return Pseudograph.from_edges(g.vertex_count, [(vertex_map[u], vertex_map[v]) for u, v in pairs])
+
+
+# the first edge map from the renumbered graph sends its twin loops 1 and 2 to 2 and 0; carried as
+# found, the arrow between them would point from the larger edge id to the smaller
+TWIN_LOOPS = Pseudograph.from_edges(3, [(0, 0), (0, 2), (2, 2), (0, 2)])
+TWIN_LOOPS_RENUMBERED = Pseudograph.from_edges(3, [(0, 2), (2, 2), (0, 0), (0, 2)])
+
+
+def test_a_carried_partition_keeps_each_twin_class_in_order(monkeypatch):
+    g, renumbered = TWIN_LOOPS, TWIN_LOOPS_RENUMBERED
+    walks = []
+    monkeypatch.setattr(classes, "_walk", lambda *args, walk=classes._walk: walks.append(args[0]) or walk(*args))
+    clear_partition_caches()
+    for route in ROUTES:
+        route(renumbered)
+        carried = route(g)
+        assert summary(carried) == summary(route.__wrapped__(g))
+        assert carried.graph == g
+    assert walks == [renumbered, g] * 2  # per route: the first walk, then the fresh one
+
+
+@functools.cache
+def small_graphs():
+    """The census of at most 5 edges, then every family spec of at most 8 edges."""
+    family = [generate(spec) for spec in enumerate_family_specs(8, include_cycles=True)]
+    return [g for layer in census(5) for g in layer] + family
+
+
+@st.composite
+def renumbered_pairs(draw):
+    g = small_graphs()[draw(st.integers(0, len(small_graphs()) - 1))]
+    vertex_map = draw(st.permutations(range(g.vertex_count)))
+    return g, renumber(g, vertex_map, draw(st.permutations(range(g.edge_count))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=renumbered_pairs())
+@example(pair=(TWIN_LOOPS_RENUMBERED, TWIN_LOOPS))
+@example(pair=(generate(Diaster(3, 4)), generate(Diaster(4, 3))))
+def test_a_renumbered_graph_carries_the_partition_a_walk_gives(pair):
+    g, renumbered = pair
+    clear_partition_caches()
+    for route in ROUTES:
+        route(g)
+        with mock.patch.object(classes, "_walk", wraps=classes._walk) as walk:
+            carried = route(renumbered)
+        assert walk.call_count == 0
+        assert summary(carried) == summary(route.__wrapped__(renumbered))
+
+
+def test_the_partition_cache_adds_no_failure_mode(monkeypatch):
+    # an isomorphism search past its limit is a miss: the graph is walked, never refused
+    g, h = generate(Diaster(3, 4)), generate(Diaster(4, 3))
+    searches = []
+
+    def over_the_limit(*args):
+        searches.append(args[1])
+        raise SearchLimitError("over the limit")
+        yield
+
+    monkeypatch.setattr(classes, "_edge_maps", over_the_limit)
+    clear_partition_caches()
+    for route in ROUTES:
+        assert summary(route(g)) == summary(route.__wrapped__(g))
+        assert summary(route(h)) == summary(route.__wrapped__(h))
+        assert route(h) is route(h) and route(g) is route(g)  # met again: no search
+    assert searches == [h, h]

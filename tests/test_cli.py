@@ -272,11 +272,11 @@ def test_verify_function_contract():
         verify(99)
 
 
-def test_classes_keeps_its_output_contract(capsys):
+def replay_classes8(capsys, cases):
     # classes8.json holds `classes --method both --representatives --format json`
     # for every spec of at most 8 edges, cycles included, captured before both
     # routes shared one grouping loop; the two partitions were equal, so one is kept
-    for case in json.loads((FIXTURES / "classes8.json").read_text(encoding="utf-8")):
+    for case in cases:
         argv = ["classes", "--family", case["graph"], "--method", "both", "--representatives", "--format", "json"]
         code, out, err = run_capture(capsys, argv)
         assert (code, err) == (EXIT_OK, ""), case["graph"]
@@ -287,6 +287,20 @@ def test_classes_keeps_its_output_contract(capsys):
             "equal": case["equal"],
         }
         assert out == json.dumps(expected, indent=2) + "\n", case["graph"]
+
+
+def test_classes_keeps_its_output_contract(capsys):
+    replay_classes8(capsys, json.loads((FIXTURES / "classes8.json").read_text(encoding="utf-8")))
+
+
+def test_classes_keeps_its_output_contract_in_a_shuffled_order(capsys):
+    # from empty caches most specs meet a graph isomorphic to an earlier one (diaster:a,b and
+    # diaster:b,a, stems that are diasters), so most answers are carried partitions
+    cases = json.loads((FIXTURES / "classes8.json").read_text(encoding="utf-8"))
+    random.Random(1717).shuffle(cases)
+    classes.brute_force_classes.cache_clear()
+    classes.swap_closure_classes.cache_clear()
+    replay_classes8(capsys, cases)
 
 
 def test_disagreeing_counts_exit_two(capsys, monkeypatch):
@@ -353,6 +367,39 @@ def test_brute_route_refuses_a_state_past_the_path_limit(capsys, monkeypatch):
     code, out, err = run_capture(capsys, ["count", "--family", "cycle:6", "--method", "brute"])
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: more than 12 temporal paths\n"
+
+
+def test_an_isomorphism_class_is_walked_once_per_route(capsys, monkeypatch):
+    walks = []
+    monkeypatch.setattr(classes, "_walk", lambda *args, walk=classes._walk: walks.append(args[0]) or walk(*args))
+    classes.brute_force_classes.cache_clear()
+    classes.swap_closure_classes.cache_clear()
+    for family, walked in (("diaster:3,4", 2), ("diaster:4,3", 2), ("stem:star:3/star:4", 2)):
+        code, out, err = run_capture(capsys, ["count", "--family", family, "--method", "all"])
+        assert (code, err) == (EXIT_OK, ""), family
+        assert "brute: 20" in out and "swap: 20" in out and "verdict: AGREE" in out, family
+        assert len(walks) == walked, family
+    classes.brute_force_classes.cache_clear()
+    classes.swap_closure_classes.cache_clear()
+    assert run_capture(capsys, ["count", "--family", "diaster:4,3", "--method", "all"])[0] == EXIT_OK
+    assert len(walks) == 4
+    # the limit is checked before the cache is read: a cached 6-edge partition is still refused
+    six = generate(parse_family_spec("diaster:2,3"))
+    for route in (classes.brute_force_classes, classes.swap_closure_classes):
+        assert route(six, 8).class_count == 12
+        with pytest.raises(classes.LimitExceededError):
+            route(six, 5)
+        with pytest.raises(classes.LimitExceededError):
+            route(generate(parse_family_spec("diaster:3,2")), 5)
+    # a cached cycle:6 is walked again after clearing, and the walk still refuses
+    assert run_capture(capsys, ["count", "--family", "cycle:6", "--method", "brute"])[:2] == (EXIT_OK, "8\n")
+    monkeypatch.setattr(paths, "PATH_LIMIT", 12)
+    classes.brute_force_classes.cache_clear()
+    assert run_capture(capsys, ["count", "--family", "cycle:6", "--method", "brute"]) == (
+        EXIT_ERROR,
+        "",
+        "error: more than 12 temporal paths\n",
+    )
 
 
 def test_no_route_enumerates_canonical_labelings(capsys, monkeypatch):
