@@ -10,16 +10,17 @@ linear extensions of one orientation are connected by swapping
 consecutive incomparable elements.  compare_partitions cross-checks them.
 
 No route visits or lists a labeling: a partition holds its classes, not
-their members.  Both routes walk the DAG of prefix states, two layers at a
-time (_walk), as ints: a label prefix's exact path set (paths._path_step),
-or the used edges with their orientation.  A state carries ``ways``, the
-number of class-sorted label orders (increasing inside each twin class)
-reaching it.  The first edge is cut to twin-class heads least in their
-T-orbit, weighted by the orbit size.  T, the automorphisms increasing on
-every twin class, is a subgroup with Aut = T N and acts freely on
-class-sorted orders, and class-sorted labelings have Aut-related
-orientations (or path sets) iff they have T-related ones.  So the classes
-are the T-orbits of final states, each holding sum(ways) / |T| canonical
+their members.  Both routes walk the DAG of prefix states (_walk), one int
+per state with the used edges in its low t bits and, above them, a label
+prefix's exact path set (paths._path_step) or the arrows of its
+orientation.  A state carries ``ways``, the number of class-sorted label
+orders (increasing inside each twin class) reaching it.  The first edge is
+cut to twin-class heads least in their T-orbit, weighted by the orbit size.
+T, the automorphisms increasing on every twin class, is a subgroup with
+Aut = T N and acts freely on class-sorted orders, and class-sorted labelings
+have Aut-related orientations (or path sets) iff they have T-related ones.
+So the classes are the T-orbits of final states, keyed by their ints (a
+T-image permutes a state's bits), each holding sum(ways) / |T| canonical
 labelings.  The representative, a class's least canonical labeling, is the
 least of the least linear extensions of the T-images of its orientation
 (read from 2-paths by the brute route); an injective name for the orbit of
@@ -37,7 +38,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .iso import SEARCH_LIMIT, EdgePermutationGroup, SearchLimitError, _candidates, _edge_maps
@@ -95,25 +96,27 @@ class ClassPartition:
         return tuple(size for _, size in self._ranked)
 
 
-def _walk(g: Pseudograph, group: EdgePermutationGroup, start, step) -> Iterator[tuple]:
+def _walk(g: Pseudograph, group: EdgePermutationGroup, step) -> Iterable[tuple[int, int]]:
     """(final state, ways) over the class-sorted label orders of g: an edge is labeled once its
-    next-smaller twin is.  A layer keys its distinct states by (used edges, step key);
-    step(state, used edges, edge) -> (key, state) runs once per state and edge."""
+    next-smaller twin is.  A layer maps each distinct state, an int from 0 with the used edges in
+    its low t bits, to its ways; step(state, edge) -> state runs once per state and edge."""
     t = g.edge_count
+    full = (1 << t) - 1
     before = {b: a for c in group.twin_classes for a, b in zip(c, c[1:])}  # the next-smaller twin
     need = [1 << before[e] if e in before else 0 for e in range(t)]
     orbits = [{p[e] for p in group.transversal} for e in range(t)]
     first = [len(orbit) if min(orbit) == e else 0 for e, orbit in enumerate(orbits)]  # the first-edge cut
     nexts = functools.cache(lambda used: [e for e in range(t) if ~used & 1 << e and used & need[e] == need[e]])
-    layer: dict = {(0, None): [start, 1]}
+    layer = {0: 1}
     for _ in range(t):
-        nxt: dict = {}
-        for (used, _), (state, ways) in layer.items():
+        nxt: dict[int, int] = {}
+        for state, ways in layer.items():
+            used = state & full
             for e in nexts(used) if used else (e for e in nexts(0) if first[e]):
-                key, new = step(state, used, e)
-                nxt.setdefault((used | 1 << e, key), [new, 0])[1] += ways if used else first[e]
+                new = step(state, e)
+                nxt[new] = nxt.get(new, 0) + (ways if used else first[e])
         layer = nxt
-    return ((state, ways) for state, ways in layer.values())
+    return layer.items()
 
 
 def _least_extension(t: int, arrows: bytes) -> tuple[int, ...]:
@@ -128,19 +131,29 @@ def _least_extension(t: int, arrows: bytes) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _partition(g: Pseudograph, method: str, start, step, final) -> ClassPartition:
-    """Classes as the T-orbits of the final states, each kept as the arrows of one."""
+def _partition(g: Pseudograph, method: str, step, names: list[bytes], intern) -> ClassPartition:
+    """Classes as the T-orbits of the final states, keyed by their ints, each kept as the arrows of
+    one.  A T-image maps bit b past the used edges to intern(names[b] translated), memoised."""
     group = edge_automorphism_group(g)
     if group.order == math.factorial(g.edge_count):  # one labeling up to automorphism: no walk
         return ClassPartition(g, method, ((b"", 1),))
-    tables, class_of, found = _tables(g), {}, []  # found: [arrows, ways] per class
-    for state, ways in _walk(g, group, start, step):
-        key = final(state)
-        c = class_of.get(key)
+    full = (1 << g.edge_count) - 1
+    images = [(table, {}) for table in _tables(g)[1:]]  # per element of T but the identity: bit -> image bit
+    class_of, found = {}, []  # found: [arrows, ways] per class
+    for state, ways in _walk(g, group, step):
+        c = class_of.get(state)
         if c is None:
-            c = len(found)
-            class_of.update(dict.fromkeys((frozenset(seq.translate(p) for seq in key) for p in tables), c))
-            found.append([b"".join(sorted(seq for seq in key if len(seq) == 2)), 0])
+            c, bits = len(found), list(_bits(state ^ full))
+            class_of[state] = c
+            for table, image in images:
+                mask = full
+                for b in bits:
+                    i = image.get(b)
+                    if i is None:
+                        i = image[b] = intern(names[b].translate(table))
+                    mask |= 1 << i
+                class_of[mask] = c
+            found.append([b"".join(sorted(names[b] for b in bits if len(names[b]) == 2)), 0])
         found[c][1] += ways
     return ClassPartition(g, method, tuple((key, ways // len(group.transversal)) for key, ways in found))
 
@@ -234,17 +247,14 @@ def swap_closure_classes(g: Pseudograph) -> ClassPartition:
     into = [0] * t  # per edge, its neighbours as a mask
     for a, b in adj.pairs:
         into[a], into[b] = into[a] | 1 << b, into[b] | 1 << a
-    arrow = [bytes((z, e)) for e in range(t) for z in range(t)]  # bit e*t + z -> the arrow z -> e
+    # bit e: the edge e is used; bit t + e*t + z: the arrow z -> e
+    names = [bytes((e,)) for e in range(t)] + [bytes((z, e)) for e in range(t) for z in range(t)]
 
-    def step(before: int, used: int, e: int) -> tuple[int, int]:
+    def step(state: int, e: int) -> int:
         # every labeled neighbour of e comes before it
-        before |= (used & into[e]) << e * t
-        return before, before
+        return state | 1 << e | (state & into[e]) << t + e * t
 
-    def arrows(before: int) -> frozenset[bytes]:
-        return frozenset(arrow[b] for b in _bits(before))
-
-    return _partition(g, METHOD_SWAP, 0, step, arrows)
+    return _partition(g, METHOD_SWAP, step, names, {name: b for b, name in enumerate(names)}.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -201,14 +201,16 @@ def edge_automorphism_group(g: Pseudograph) -> EdgePermutationGroup:
     Twin classes come from one pinned search per candidate pair (is the
     transposition an automorphism?), the transversal from one search that
     maps each edge to an edge of equal rank in an equally large twin
-    class.  Every visited node counts against SEARCH_LIMIT.
+    class; a candidate pair shares its kind and neighbours outside itself.
+    Every visited node counts against SEARCH_LIMIT.
     """
     t = g.edge_count
     budget = [SEARCH_LIMIT]
     kind = g.edge_kinds
+    near = [sum({1 << x for v in ends for x in g.incidence[v]}) for _, ends in g.edges]  # neighbours, e included
 
     def twins(e: int, f: int) -> bool:
-        if kind[e] != kind[f]:
+        if kind[e] != kind[f] or (near[e] ^ near[f]) & ~(1 << e | 1 << f):  # (e f) keeps every other edge
             return False
         pinned = [(x,) for x in range(t)]
         pinned[e], pinned[f] = (f,), (e,)

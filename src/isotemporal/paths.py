@@ -18,9 +18,9 @@ partition walk steps the sweep once per distinct prefix path set
 (``_path_step``): prefixes with one path set share every continuation, as
 a step reads only the walks, the edges used so far are the one-edge
 paths, and a sequence's walks (at most two, ending at different
-vertices) follow from the graph.  There a path set is an int mask, one
-bit per sequence the walk meets, and a step ORs in the extensions of the
-walks at the new edge's ends, each built once per walk mask and edge.
+vertices) follow from the graph.  There a state is one int mask, one bit
+per sequence met, the used edges at bits 0..t-1; the walks ending at x are
+``mask & at[x]``, and a step ORs in their extensions by the new edge.
 """
 
 from __future__ import annotations
@@ -74,46 +74,46 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= 1 << b
 
 
-def _path_step(g: Pseudograph) -> tuple[tuple, Callable, Callable]:
-    """The brute walk on g (< 256 edges): (start state, step, path set of a state).
+def _path_step(g: Pseudograph) -> tuple[Callable, list[bytes], Callable]:
+    """The brute walk on g (< 256 edges): (step, names, intern).
 
-    step(state, used edges, next edge) -> (key, state).  A state (mask, ends) holds the prefix's
-    sequences and, per vertex, those whose walk ends there, as masks over the bits this walk
-    numbers.  Extensions by an edge are memoised per (ends[x], edge), every state checks
-    PATH_LIMIT, and path_set decodes a state's mask to edge-id bytes.
+    step(state, edge) -> state.  A state is the prefix's path set, bit b the sequence names[b]
+    (edge-id bytes) and bits 0..t-1 the one-edge ones.  at[x] marks the sequences with a walk
+    ending at x, a property of g set as a sequence is interned.  Extensions are memoised per
+    (edge, tail vertex) and walk mask, every state checks PATH_LIMIT, and intern(sequence) -> bit.
     """
-    seqs, bit_of = [], {}  # bit -> edge-id bytes of its sequence, and back
-    extended: list[dict[int, int]] = [{} for _ in range(g.edge_count)]  # per edge: ends[x] -> new walks
+    names = [bytes((e,)) for e in range(g.edge_count)]
+    bit_of = {seq: b for b, seq in enumerate(names)}
+    at = [sum(1 << e for e in g.incidence[x]) for x in g.vertices]
+    extended: dict[tuple[int, int], dict[int, int]] = {(e, x): {} for e, ends in g.edges for x in ends}
 
-    def extend(at: int, e: int) -> int:
-        new = extended[e].get(at)
+    def intern(seq: bytes) -> int:
+        b = bit_of.setdefault(seq, len(names))
+        if b == len(names):
+            names.append(seq)
+        return b
+
+    def extend(walks: int, e: int, tail: int, head: int) -> int:
+        # the walks ending at tail, crossing e to head
+        new = extended[e, tail].get(walks)
         if new is None:
             new, ext = 0, bytes((e,))
-            for seq in [b""] + [seqs[b] for b in _bits(at)]:
-                seq += ext
-                b = bit_of.setdefault(seq, len(seqs))
-                if b == len(seqs):
-                    seqs.append(seq)
-                new |= 1 << b
-            extended[e][at] = new
+            for b in _bits(walks):
+                new |= 1 << intern(names[b] + ext)
+            extended[e, tail][walks] = new
+            at[head] |= new
         return new
 
-    def step(state: tuple[int, tuple[int, ...]], used: int, e: int) -> tuple[int, tuple]:
-        mask, ends = state
+    def step(state: int, e: int) -> int:
         u, v = g.endpoints(e)
-        onward, back = extend(ends[u], e), extend(ends[v], e) if u != v else 0  # onward: u to v
-        ends = list(ends)
-        ends[v] |= onward
-        ends[u] |= back
-        mask |= onward | back
-        if mask.bit_count() > PATH_LIMIT:
+        new = state | 1 << e | extend(state & at[u], e, u, v)
+        if u != v:
+            new |= extend(state & at[v], e, v, u)
+        if new.bit_count() > PATH_LIMIT:
             raise PathLimitError(f"more than {PATH_LIMIT} temporal paths")
-        return mask, (mask, tuple(ends))
+        return new
 
-    def path_set(state: tuple[int, tuple[int, ...]]) -> frozenset[bytes]:
-        return frozenset(seqs[b] for b in _bits(state[0]))
-
-    return (0, (0,) * g.vertex_count), step, path_set
+    return step, names, intern
 
 
 def _trace(g: Pseudograph, seq: tuple[int, ...]) -> tuple[int, ...]:

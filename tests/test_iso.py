@@ -27,7 +27,9 @@ from isotemporal import (
 )
 from isotemporal import iso
 from isotemporal.iso import SearchLimitError
+from isotemporal.families import enumerate_family_specs
 from isotemporal.paths import edge_sequences
+from reference_census import census
 from reference_iso import pseudographs, reference_isomorphisms, relabeled, swapped
 
 
@@ -114,6 +116,52 @@ def test_automorphism_search_counts_its_nodes(monkeypatch):
     monkeypatch.setattr(iso, "SEARCH_LIMIT", 20)
     with pytest.raises(SearchLimitError, match="20 nodes"):
         search(g)
+
+
+def search_only_group(g):
+    """Twin classes by a pinned search for every pair of one kind, with no neighbourhood
+    test, then the transversal: the automorphisms increasing on every twin class."""
+    t, kind, budget = g.edge_count, g.edge_kinds, [iso.SEARCH_LIMIT]
+
+    def twins(e, f):
+        pinned = [(x,) for x in range(t)]
+        pinned[e], pinned[f] = (f,), (e,)
+        return kind[e] == kind[f] and next(iso._edge_maps(g, g, pinned, budget, None), None) is not None
+
+    classes = []
+    for e in range(t):
+        home = next((c for c in classes if twins(c[0], e)), None)
+        if home is None:
+            classes.append([e])
+        else:
+            home.append(e)
+    place = {e: (kind[e], i, len(c)) for c in classes for i, e in enumerate(c)}
+    increasing = [place[e] for e in range(t)]
+    maps = iso._edge_maps(g, g, iso._candidates(increasing, increasing), budget, None)
+    return tuple(map(tuple, classes)), tuple(sorted({emap for _, emap in maps}))
+
+
+def test_twin_neighbourhood_test_keeps_the_group():
+    graphs = [g for layer in census(6) for g in layer]
+    graphs += [generate(spec) for spec in enumerate_family_specs(10, include_cycles=True)]
+    for g in graphs:
+        group = edge_automorphism_group.__wrapped__(g)  # past the cache
+        assert (group.twin_classes, group.transversal) == search_only_group(g), g
+
+
+def test_cycles_run_no_pinned_twin_search(monkeypatch):
+    # C3 and C4 have twins; from C5 on, no two edges share their neighbours outside the pair
+    searches, search = [], iso._edge_maps
+
+    def recorded(g, h, candidates, *rest):
+        searches.append(all(len(c) == 1 for c in candidates))  # pinned: one image per edge
+        return search(g, h, candidates, *rest)
+
+    monkeypatch.setattr(iso, "_edge_maps", recorded)
+    for n in range(5, 11):
+        searches.clear()
+        assert edge_automorphism_group.__wrapped__(generate(Cycle(n))).order == 2 * n
+        assert searches == [False], n  # the transversal search alone
 
 
 @settings(max_examples=150, deadline=None)

@@ -171,10 +171,11 @@ def test_shared_sweep_matches_the_stack_dfs_on_every_labeling(g, rng):
     rng.shuffle(pairs)
     g = Pseudograph.from_edges(g.vertex_count, pairs)
     group = edge_automorphism_group(g)
-    start, step, path_set = paths._path_step(g)
-    walked = list(classes._walk(g, group, start, step))
+    step, names, _ = paths._path_step(g)
+    walked = list(classes._walk(g, group, step))
     tables = [bytes([*p, *range(g.edge_count, 256)]) for p in group.transversal]
-    closure = {frozenset(seq.translate(table) for seq in path_set(state)) for state, _ in walked for table in tables}
+    path_sets = [[names[b] for b in paths._bits(state)] for state, _ in walked]
+    closure = {frozenset(seq.translate(table) for seq in path_set) for path_set in path_sets for table in tables}
     twins = [c for c in group.twin_classes if len(c) > 1]
     sorted_labelings = [
         vec
