@@ -38,7 +38,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .iso import SEARCH_LIMIT, EdgePermutationGroup, SearchLimitError, _candidates, _edge_maps
@@ -131,28 +131,25 @@ def _least_extension(t: int, arrows: bytes) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _partition(g: Pseudograph, method: str, step, names: list[bytes], intern) -> ClassPartition:
-    """Classes as the T-orbits of the final states, keyed by their ints, each kept as the arrows of
-    one.  A T-image maps bit b past the used edges to intern(names[b] translated), memoised."""
+def _partition(g: Pseudograph, method: str, walker: Callable) -> ClassPartition:
+    """Classes as the T-orbits of the final states of the walk walker(g) -> (step, names, intern),
+    keyed by their ints, each kept as the arrows of one.  An element of T permutes the bits, each
+    bit b the walk met going to intern(names[b] translated)."""
     group = edge_automorphism_group(g)
     if group.order == math.factorial(g.edge_count):  # one labeling up to automorphism: no walk
         return ClassPartition(g, method, ((b"", 1),))
-    full = (1 << g.edge_count) - 1
-    images = [(table, {}) for table in _tables(g)[1:]]  # per element of T but the identity: bit -> image bit
+    step, names, intern = walker(g)
+    finals = _walk(g, group, step)  # a finished walk: names holds every bit a final state sets
+    full, met = (1 << g.edge_count) - 1, names[:]
+    images = [[intern(name.translate(table)) for name in met] for table in _tables(g)[1:]]  # [0]: the identity
     class_of, found = {}, []  # found: [arrows, ways] per class
-    for state, ways in _walk(g, group, step):
+    for state, ways in finals:
         c = class_of.get(state)
         if c is None:
-            c, bits = len(found), list(_bits(state ^ full))
+            c, bits = len(found), list(_bits(state ^ full))  # every final state has every used edge
             class_of[state] = c
-            for table, image in images:
-                mask = full
-                for b in bits:
-                    i = image.get(b)
-                    if i is None:
-                        i = image[b] = intern(names[b].translate(table))
-                    mask |= 1 << i
-                class_of[mask] = c
+            for image in images:
+                class_of[full | sum(1 << image[b] for b in bits)] = c
             found.append([b"".join(sorted(names[b] for b in bits if len(names[b]) == 2)), 0])
         found[c][1] += ways
     return ClassPartition(g, method, tuple((key, ways // len(group.transversal)) for key, ways in found))
@@ -214,7 +211,7 @@ def brute_force_classes(g: Pseudograph) -> ClassPartition:
     temporally isomorphic.
     """
 
-    return _partition(g, METHOD_TEMPORAL, *_path_step(g))
+    return _partition(g, METHOD_TEMPORAL, _path_step)
 
 
 def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
@@ -235,6 +232,20 @@ def swap_neighbors(network: TemporalNetwork) -> list[TemporalNetwork]:
     return out
 
 
+def _orientation_step(g: Pseudograph) -> tuple[Callable, list[bytes], Callable]:
+    """The swap walk on g: (step, names, intern), as paths._path_step gives the brute walk.  Bit e
+    of a state marks the edge e used and bit t + e*t + z the arrow z -> e."""
+    t = g.edge_count
+    into = [sum(1 << z for z in near) for near in adjacency(g).neighbors]
+    names = [bytes((e,)) for e in range(t)] + [bytes((z, e)) for e in range(t) for z in range(t)]
+
+    def step(state: int, e: int) -> int:
+        # every labeled neighbour of e comes before it
+        return state | 1 << e | (state & into[e]) << t + e * t
+
+    return step, names, {name: b for b, name in enumerate(names)}.__getitem__
+
+
 @_per_isomorphism_class
 def swap_closure_classes(g: Pseudograph) -> ClassPartition:
     """Orbits of canonical labelings under legal swaps plus automorphisms.
@@ -243,18 +254,7 @@ def swap_closure_classes(g: Pseudograph) -> ClassPartition:
     line-graph orientation, so labelings are grouped by orientation up to
     automorphism.  The result equals brute_force_classes on every graph.
     """
-    t, adj = g.edge_count, adjacency(g)
-    into = [0] * t  # per edge, its neighbours as a mask
-    for a, b in adj.pairs:
-        into[a], into[b] = into[a] | 1 << b, into[b] | 1 << a
-    # bit e: the edge e is used; bit t + e*t + z: the arrow z -> e
-    names = [bytes((e,)) for e in range(t)] + [bytes((z, e)) for e in range(t) for z in range(t)]
-
-    def step(state: int, e: int) -> int:
-        # every labeled neighbour of e comes before it
-        return state | 1 << e | (state & into[e]) << t + e * t
-
-    return _partition(g, METHOD_SWAP, step, names, {name: b for b, name in enumerate(names)}.__getitem__)
+    return _partition(g, METHOD_SWAP, _orientation_step)
 
 
 @dataclass(frozen=True)

@@ -207,7 +207,8 @@ def edge_automorphism_group(g: Pseudograph) -> EdgePermutationGroup:
     t = g.edge_count
     budget = [SEARCH_LIMIT]
     kind = g.edge_kinds
-    near = [sum({1 << x for v in ends for x in g.incidence[v]}) for _, ends in g.edges]  # neighbours, e included
+    at = [sum(1 << x for x in g.incidence[v]) for v in g.vertices]  # the edges at each vertex
+    near = [at[u] | at[v] for _, (u, v) in g.edges]  # each edge's neighbours and itself
 
     def twins(e: int, f: int) -> bool:
         if kind[e] != kind[f] or (near[e] ^ near[f]) & ~(1 << e | 1 << f):  # (e f) keeps every other edge
