@@ -139,9 +139,9 @@ def _partition(g: Pseudograph, method: str, walker: Callable) -> ClassPartition:
     if group.order == math.factorial(g.edge_count):  # one labeling up to automorphism: no walk
         return ClassPartition(g, method, ((b"", 1),))
     step, names, intern = walker(g)
-    finals = _walk(g, group, step)  # a finished walk: names holds every bit a final state sets
-    full, met = (1 << g.edge_count) - 1, names[:]
-    images = [[intern(name.translate(table)) for name in met] for table in _tables(g)[1:]]  # [0]: the identity
+    finals, full = _walk(g, group, step), (1 << g.edge_count) - 1
+    met = list(_bits(functools.reduce(int.__or__, (state for state, _ in finals)) ^ full))  # bits past the used edges
+    images = [{b: 1 << intern(names[b].translate(table)) for b in met} for table in _tables(g)[1:]]  # [0]: the identity
     class_of, found = {}, []  # found: [arrows, ways] per class
     for state, ways in finals:
         c = class_of.get(state)
@@ -149,7 +149,7 @@ def _partition(g: Pseudograph, method: str, walker: Callable) -> ClassPartition:
             c, bits = len(found), list(_bits(state ^ full))  # every final state has every used edge
             class_of[state] = c
             for image in images:
-                class_of[full | sum(1 << image[b] for b in bits)] = c
+                class_of[sum(map(image.__getitem__, bits), full)] = c  # distinct bits above full
             found.append([b"".join(sorted(names[b] for b in bits if len(names[b]) == 2)), 0])
         found[c][1] += ways
     return ClassPartition(g, method, tuple((key, ways // len(group.transversal)) for key, ways in found))

@@ -79,13 +79,14 @@ def _path_step(g: Pseudograph) -> tuple[Callable, list[bytes], Callable]:
 
     step(state, edge) -> state.  A state is the prefix's path set, bit b the sequence names[b]
     (edge-id bytes) and bits 0..t-1 the one-edge ones.  at[x] marks the sequences with a walk
-    ending at x, a property of g set as a sequence is interned.  Extensions are memoised per
-    (edge, tail vertex) and walk mask, every state checks PATH_LIMIT, and intern(sequence) -> bit.
+    ending at x, a property of g set as a sequence is interned.  Extensions are memoised per edge
+    and the walks at both its ends, every state checks PATH_LIMIT, and intern(sequence) -> bit.
     """
     names = [bytes((e,)) for e in range(g.edge_count)]
     bit_of = {seq: b for b, seq in enumerate(names)}
     at = [sum(1 << e for e in g.incidence[x]) for x in g.vertices]
-    extended: dict[tuple[int, int], dict[int, int]] = {(e, x): {} for e, ends in g.edges for x in ends}
+    ends = [pair for _, pair in g.edges]
+    extended: list[dict[int, int]] = [{} for _ in ends]  # per edge: the walks at its ends -> their extensions
 
     def intern(seq: bytes) -> int:
         b = bit_of.setdefault(seq, len(names))
@@ -93,22 +94,21 @@ def _path_step(g: Pseudograph) -> tuple[Callable, list[bytes], Callable]:
             names.append(seq)
         return b
 
-    def extend(walks: int, e: int, tail: int, head: int) -> int:
-        # the walks ending at tail, crossing e to head
-        new = extended[e, tail].get(walks)
-        if new is None:
-            new, ext = 0, bytes((e,))
-            for b in _bits(walks):
-                new |= 1 << intern(names[b] + ext)
-            extended[e, tail][walks] = new
-            at[head] |= new
+    def extend(walks: int, e: int, head: int) -> int:
+        # the walks, ending at e's other end, crossing e to head
+        new, ext = 0, bytes((e,))
+        for b in _bits(walks):
+            new |= 1 << intern(names[b] + ext)
+        at[head] |= new
         return new
 
     def step(state: int, e: int) -> int:
-        u, v = g.endpoints(e)
-        new = state | 1 << e | extend(state & at[u], e, u, v)
-        if u != v:
-            new |= extend(state & at[v], e, v, u)
+        u, v = ends[e]
+        walks = state & (at[u] | at[v])
+        new = extended[e].get(walks)
+        if new is None:  # u to v, and v to u unless e is a loop: both ends recorded at once
+            new = extended[e][walks] = extend(walks & at[u], e, v) | (extend(walks & at[v], e, u) if u != v else 0)
+        new |= state | 1 << e
         if new.bit_count() > PATH_LIMIT:
             raise PathLimitError(f"more than {PATH_LIMIT} temporal paths")
         return new

@@ -340,7 +340,8 @@ def copied_components(draw):
 @example(g=Pseudograph.from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]))  # K_{2,3}
 @example(g=generate(Cycle(6)))
 # parallel edges, a pendant and a loop: the least graph whose partition needs the brute walk's
-# extensions memoised per (edge, tail vertex); per edge, the 2-path over the pair ends at one vertex
+# extensions keyed by the walks at both ends of the edge, each end recorded; with one end's walks
+# as the key, or one end recorded, the 2-path over the pair ends at one vertex
 @example(g=Pseudograph.from_edges(4, [(0, 0), (1, 2), (1, 2), (1, 3)]))
 def test_partition_routes_match_indexing_over_every_element(g):
     # the package indexes orbit images over the transversal only; sizes and
