@@ -38,7 +38,7 @@ import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
 from .iso import SEARCH_LIMIT, EdgePermutationGroup, SearchLimitError, _candidates, _edge_maps
@@ -96,8 +96,8 @@ class ClassPartition:
         return tuple(size for _, size in self._ranked)
 
 
-def _walk(g: Pseudograph, group: EdgePermutationGroup, step) -> Iterable[tuple[int, int]]:
-    """(final state, ways) over the class-sorted label orders of g: an edge is labeled once its
+def _walk(g: Pseudograph, group: EdgePermutationGroup, step) -> dict[int, int]:
+    """Final state -> ways over the class-sorted label orders of g: an edge is labeled once its
     next-smaller twin is.  A layer maps each distinct state, an int from 0 with the used edges in
     its low t bits, to its ways; step(state, edge) -> state runs once per state and edge."""
     t = g.edge_count
@@ -116,7 +116,7 @@ def _walk(g: Pseudograph, group: EdgePermutationGroup, step) -> Iterable[tuple[i
                 new = step(state, e)
                 nxt[new] = nxt.get(new, 0) + (ways if used else first[e])
         layer = nxt
-    return layer.items()
+    return layer
 
 
 def _least_extension(t: int, arrows: bytes) -> tuple[int, ...]:
@@ -140,10 +140,10 @@ def _partition(g: Pseudograph, method: str, walker: Callable) -> ClassPartition:
         return ClassPartition(g, method, ((b"", 1),))
     step, names, intern = walker(g)
     finals, full = _walk(g, group, step), (1 << g.edge_count) - 1
-    met = list(_bits(functools.reduce(int.__or__, (state for state, _ in finals)) ^ full))  # bits past the used edges
+    met = list(_bits(functools.reduce(int.__or__, finals) ^ full))  # the bits past the used edges
     images = [{b: 1 << intern(names[b].translate(table)) for b in met} for table in _tables(g)[1:]]  # [0]: the identity
     class_of, found = {}, []  # found: [arrows, ways] per class
-    for state, ways in finals:
+    for state, ways in finals.items():
         c = class_of.get(state)
         if c is None:
             c, bits = len(found), list(_bits(state ^ full))  # every final state has every used edge

@@ -172,7 +172,7 @@ def test_shared_sweep_matches_the_stack_dfs_on_every_labeling(g, rng):
     g = Pseudograph.from_edges(g.vertex_count, pairs)
     group = edge_automorphism_group(g)
     step, names, _ = paths._path_step(g)
-    walked = list(classes._walk(g, group, step))
+    walked = classes._walk(g, group, step).items()
     tables = [bytes([*p, *range(g.edge_count, 256)]) for p in group.transversal]
     path_sets = [[names[b] for b in paths._bits(state)] for state, _ in walked]
     closure = {frozenset(seq.translate(table) for seq in path_set) for path_set in path_sets for table in tables}
