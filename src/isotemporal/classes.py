@@ -121,13 +121,19 @@ def _walk(g: Pseudograph, group: EdgePermutationGroup, step) -> dict[int, int]:
 
 def _least_extension(t: int, arrows: bytes) -> tuple[int, ...]:
     # the least labeling with a < b for every arrow (a, b): labels t..1 in turn go to the
-    # largest unlabeled edge with no unlabeled successor
-    after, left, vec = [0] * t, (1 << t) - 1, [0] * t
+    # largest unlabeled edge with no unlabeled successor, the highest bit of ``ready``; labeling
+    # e can make only e's predecessors ready
+    after, before, vec = [0] * t, [0] * t, [0] * t
     for a, b in zip(arrows[::2], arrows[1::2]):
         after[a] |= 1 << b
+        before[b] |= 1 << a
+    left, ready = (1 << t) - 1, sum(1 << x for x in range(t) if not after[x])
     for label in range(t, 0, -1):
-        e = max(x for x in range(t) if left >> x & 1 and not after[x] & left)
-        vec[e], left = label, left ^ 1 << e
+        e = ready.bit_length() - 1
+        vec[e], left, ready = label, left ^ 1 << e, ready ^ 1 << e
+        for a in _bits(before[e]):
+            if not after[a] & left:
+                ready |= 1 << a
     return tuple(vec)
 
 

@@ -198,15 +198,13 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_paths(args) -> int:
+    """One line per temporal path, '<labels> | <trace>', sorted by label sequence and
+    printed in one write; nothing for an edgeless network."""
     network = _load_network(args.file)
-    found = sorted(
-        temporal_paths(network),
-        key=lambda p: tuple(network.labeling[e] for e in p.edge_ids),
-    )
-    for path in found:
-        labels = " ".join(str(network.labeling[e]) for e in path.edge_ids)
-        trace = " ".join(str(v) for v in path.trace)
-        print(f"{labels} | {trace}")
+    label = network.labeling.__getitem__
+    found = sorted((tuple(map(label, p.edge_ids)), p.trace) for p in temporal_paths(network))
+    if found:
+        print("\n".join(f"{' '.join(map(str, labels))} | {' '.join(map(str, trace))}" for labels, trace in found))
     return EXIT_OK
 
 

@@ -283,24 +283,28 @@ def serialize_network(network: TemporalNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=64)
+def _file_graph(vertex_count: int, pairs: tuple[tuple[int, int], ...]) -> Pseudograph:
+    # one graph per distinct file graph, so its cached properties and every cache keyed by
+    # it are computed once; lru_cache keeps no failed build
+    return Pseudograph.from_edges(vertex_count, pairs)
+
+
 def parse_network(text: str) -> TemporalNetwork:
     """Parse the text format produced by serialize_network.
 
     Blank lines and '#'-prefixed comments are ignored.  Syntax problems,
     and a vertex count above VERTEX_LIMIT, raise ParseError with the line
-    number; semantic problems raise the corresponding build_network
-    validation error.
+    number; semantic problems raise the corresponding validation error.
+    Files with equal vertex counts and equal endpoint pairs in equal order
+    share one graph object; the 64 graphs used last are kept.
     """
-    rows: list[tuple[int, list[str]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((line_no, line.split()))
+    lines = text.splitlines()
+    rows = [(no, fields) for no, fields in enumerate(map(str.split, lines), start=1) if fields and fields[0][0] != "#"]
 
     def header(index: int, key: str) -> int:
         if index >= len(rows):
-            raise ParseError(len(text.splitlines()) + 1, f"missing '{key}:' header")
+            raise ParseError(len(lines) + 1, f"missing '{key}:' header")
         line_no, fields = rows[index]
         if len(fields) != 2 or fields[0] != f"{key}:":
             raise ParseError(line_no, f"expected '{key}: <count>'")
@@ -318,22 +322,20 @@ def parse_network(text: str) -> TemporalNetwork:
     t = header(1, "edges")
     if len(rows) != 2 + t:
         if len(rows) < 2 + t:
-            raise ParseError(len(text.splitlines()) + 1, f"expected {t} edge lines, found {len(rows) - 2}")
+            raise ParseError(len(lines) + 1, f"expected {t} edge lines, found {len(rows) - 2}")
         raise ParseError(rows[2 + t][0], "unexpected extra line")
 
-    pairs: list[tuple[int, int]] = []
-    labels: list[tuple[int, int]] = []
-    for i in range(t):
-        line_no, fields = rows[2 + i]
+    pairs, labels = [], []
+    for i, (line_no, fields) in enumerate(rows[2:]):
         if len(fields) != 4:
             raise ParseError(line_no, "expected '<edge-id> <u> <v> <label>'")
         try:
-            eid, u, v, lab = (int(f) for f in fields)
+            eid, u, v, lab = map(int, fields)
         except ValueError:
             raise ParseError(line_no, "edge fields must be integers") from None
         if eid != i:
             raise ParseError(line_no, f"edge ids must appear in order 0..{t - 1}, got {eid}")
         pairs.append((u, v))
-        labels.append((eid, lab))
-    graph = Pseudograph.from_edges(n, pairs)
-    return build_network(graph, labels)
+        labels.append(lab)
+    # edge ids are 0..t-1 in order, so every edge has one label: TemporalNetwork checks the rest
+    return TemporalNetwork(_file_graph(n, tuple(pairs)), tuple(labels))

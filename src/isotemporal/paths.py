@@ -59,7 +59,7 @@ def _enumerate(network: TemporalNetwork) -> set[tuple[int, ...]]:
         at_u += back
         walks += len(onward) + len(back)
         if walks > 2 * PATH_LIMIT:  # at most two walks a sequence: already too many
-            break
+            raise PathLimitError(f"more than {PATH_LIMIT} temporal paths")
     found = {seq for at in ends.values() for seq in at}
     if len(found) > PATH_LIMIT:
         raise PathLimitError(f"more than {PATH_LIMIT} temporal paths")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -17,6 +18,7 @@ from isotemporal import (
     check_transfer_conditions,
     classes,
     cli,
+    enumerate_family_specs,
     generate,
     iso,
     parse_family_spec,
@@ -664,6 +666,33 @@ def test_paths_on_a_long_path(tmp_path, capsys):
     lines = out.splitlines()
     assert len(lines) == 1200 + 1199
     assert lines[:3] == ["1 | 0 1", "1 601 | 0 1 2", "2 | 2 3"]
+
+
+def test_paths_on_an_edgeless_network_prints_nothing(tmp_path, capsys):
+    net = tmp_path / "empty.net"
+    net.write_text("vertices: 3\nedges: 0\n", encoding="utf-8")
+    assert run_capture(capsys, ["paths", str(net)]) == (EXIT_OK, "", "")
+
+
+def test_paths_keeps_its_output_contract(tmp_path, capsys):
+    # md5 of the output, captured from the enumerator that printed one line per write: a seeded
+    # labeling of every family spec of at most 9 edges, then every labeling of a graph with two
+    # loops and two parallel edges, numbered so that some traces start at the larger endpoint
+    rng, digest, net = random.Random(20), hashlib.md5(), tmp_path / "n.net"
+    for spec in enumerate_family_specs(9, include_cycles=True):
+        g = generate(spec)
+        labels = list(range(1, g.edge_count + 1))
+        rng.shuffle(labels)
+        _write_network(net, g.vertex_count, [pair for _, pair in g.edges], labels)
+        code, out, err = run_capture(capsys, ["paths", str(net)])
+        assert (code, err) == (EXIT_OK, ""), spec
+        digest.update(out.encode())
+    for labels in itertools.permutations(range(1, 6)):
+        _write_network(net, 3, [(0, 1), (0, 0), (0, 0), (1, 2), (1, 2)], labels)
+        code, out, err = run_capture(capsys, ["paths", str(net)])
+        assert (code, err) == (EXIT_OK, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == "42d45490a143c49a8a35691adba26e2b"
 
 
 def test_non_utf8_network_file_is_an_error(tmp_path, capsys):

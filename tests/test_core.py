@@ -13,7 +13,9 @@ from isotemporal import (
     generate,
     parse_network,
     serialize_network,
+    temporal_paths,
 )
+from isotemporal.classes import brute_force_classes
 from isotemporal.core import (
     VERTEX_LIMIT,
     DuplicateLabelError,
@@ -23,6 +25,7 @@ from isotemporal.core import (
     UnknownEdgeError,
     UnknownVertexError,
 )
+from isotemporal.iso import is_label_isomorphic, is_temporal_isomorphic
 
 
 def test_smallest_network():
@@ -179,6 +182,48 @@ def test_parse_rejects_vertex_counts_above_the_limit():
     assert exc.value.line_no == 3
     n = parse_network(f"vertices: {VERTEX_LIMIT}\nedges: 1\n0 0 1 1\n")
     assert n.graph.vertex_count == VERTEX_LIMIT
+
+
+def test_parsing_one_text_twice_gives_one_graph():
+    text = "vertices: 3\nedges: 3\n0 0 1 2\n1 1 2 1\n2 2 2 3\n"
+    n, m = parse_network(text), parse_network(text.replace(" 2\n1 1 2 1", " 1\n1 1 2 2"))
+    assert n.graph is m.graph
+    assert n.labeling != m.labeling
+    assert parse_network(text).graph is n.graph
+    # the graph is keyed by its vertex count too
+    assert parse_network(text.replace("vertices: 3", "vertices: 4")).graph is not n.graph
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("vertices: 2\nedges: 1\n0 0 2 1\n", UnknownVertexError, "edge 0 endpoint pair (0, 2) not in vertex list"),
+        ("vertices: 2\nedges: 1\n0 0 1 2\n", LabelRangeError, "edge 0 label 2 outside 1..1"),
+        ("vertices: 2\nedges: 1\n0 0 x 1\n", ParseError, "line 3: edge fields must be integers"),
+    ],
+)
+def test_a_parse_error_is_raised_on_every_call(text, error, message):
+    # a failed parse leaves nothing behind that a second call could answer from
+    for _ in range(3):
+        with pytest.raises(error) as exc:
+            parse_network(text)
+        assert str(exc.value) == message
+
+
+def test_pairs_in_another_order_give_a_distinct_graph_that_answers_alike():
+    # the same graph with its edges renumbered and each pair's endpoints swapped
+    pairs, labels, order = [(0, 1), (1, 2), (2, 2), (2, 0), (0, 1)], [3, 1, 5, 2, 4], [4, 2, 0, 3, 1]
+    text = "vertices: 3\nedges: 5\n" + "".join(f"{e} {u} {v} {labels[e]}\n" for e, (u, v) in enumerate(pairs))
+    moved = "vertices: 3\nedges: 5\n" + "".join(
+        f"{i} {pairs[e][1]} {pairs[e][0]} {labels[e]}\n" for i, e in enumerate(order)
+    )
+    n, m = parse_network(text), parse_network(moved)
+    assert n.graph is not m.graph and n.graph != m.graph
+    assert [m.graph.endpoints(i) for i in range(5)] == [n.graph.endpoints(e) for e in order]
+    assert is_temporal_isomorphic(n, m) and is_label_isomorphic(n, m)
+    assert len(temporal_paths(n)) == len(temporal_paths(m))
+    # representatives name edges by id, so only the multiset of class sizes carries over
+    assert sorted(brute_force_classes(n.graph).block_sizes) == sorted(brute_force_classes(m.graph).block_sizes)
 
 
 def test_round_trip_identity():

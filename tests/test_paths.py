@@ -198,3 +198,25 @@ def test_path_limit_is_exact(monkeypatch):
         edge_sequences(_net(Daisy(4), [1, 2, 3, 4]))
     with pytest.raises(PathLimitError, match="more than 7"):
         edge_sequences(_net(Beachball(4), [1, 2, 3, 4]))
+
+
+def test_path_limit_refuses_once_the_walks_pass_twice_the_limit(monkeypatch):
+    # an increasing path of k edges has k(k+1)/2 temporal paths.  At 45 edges only the count of
+    # distinct sequences passes the limit; at 70 the walks pass twice the limit, which already
+    # proves too many sequences, so the sweep refuses there and reads no later edge
+    class Counted(Pseudograph):
+        def endpoints(self, edge_id):
+            read.add(edge_id)
+            return super().endpoints(edge_id)
+
+    monkeypatch.setattr(paths, "PATH_LIMIT", 1000)
+    for k, refused, all_read in ((44, False, True), (45, True, True), (70, True, False)):
+        read = set()
+        net = TemporalNetwork(Counted.from_edges(k + 1, [(i, i + 1) for i in range(k)]), range(1, k + 1))
+        if refused:
+            with pytest.raises(PathLimitError) as exc:
+                edge_sequences(net)
+            assert str(exc.value) == "more than 1000 temporal paths"
+        else:
+            assert len(edge_sequences(net)) == 990
+        assert (len(read) == k) == all_read, k
