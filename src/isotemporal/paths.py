@@ -118,13 +118,18 @@ def _path_step(g: Pseudograph) -> tuple[Callable, list[bytes], Callable]:
 
 def _trace(g: Pseudograph, seq: tuple[int, ...]) -> tuple[int, ...]:
     # the walk is forced once its start is fixed; endpoints come smaller first
-    for start in g.endpoints(seq[0]):
-        trace = [start]
+    edges = g.edges
+    for x in edges[seq[0]][1]:
+        trace = [x]
         for eid in seq:
-            u, v = g.endpoints(eid)
-            if trace[-1] not in (u, v):
+            u, v = edges[eid][1]
+            if x == u:
+                x = v
+            elif x == v:
+                x = u
+            else:
                 break
-            trace.append(v if trace[-1] == u else u)
+            trace.append(x)
         else:
             return tuple(trace)
     raise IsotemporalError(f"internal error: no walk traces {seq}")
