@@ -34,13 +34,11 @@ isomorphism classes, and 57 of them need a walk.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
+from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, adjacency
 from .iso import SEARCH_LIMIT, EdgePermutationGroup, SearchLimitError, _candidates, _edge_maps
 from .iso import edge_automorphism_group, is_temporal_isomorphic
 from .paths import _bits, _path_step
@@ -67,16 +65,13 @@ def _tables(g: Pseudograph) -> list[bytes]:
     return [bytes([*p, *range(g.edge_count, 256)]) for p in edge_automorphism_group(g).transversal]
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(_Record):
     """The isotemporal classes of one graph: per class, in walk order, the arrows (a, b) of one of
     its final states, a labeled first, sorted and joined, and its number of canonical labelings;
     carried to an isomorphic graph, order and arrows follow the walked graph's.  The other views
     are built on first use."""
 
-    graph: Pseudograph
-    method: str
-    classes: tuple[tuple[bytes, int], ...]
+    __slots__ = ("graph", "method", "classes", "__dict__")
 
     @property
     def class_count(self) -> int:
@@ -204,7 +199,7 @@ def _per_isomorphism_class(route):
         walked.clear()
 
     partition.cache_clear = cache_clear
-    partition.__signature__ = inspect.signature(partition, follow_wrapped=False)  # route(g) takes no limit
+    partition.__signature__ = None  # inspect.signature stops here: (g, limit), not route's (g)
     return partition
 
 
@@ -263,8 +258,7 @@ def swap_closure_classes(g: Pseudograph) -> ClassPartition:
     return _partition(g, METHOD_SWAP, _orientation_step)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Outcome of running both partition methods on one graph."""
 
     graph: Pseudograph

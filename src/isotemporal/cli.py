@@ -11,8 +11,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import families, formulas
 from .classes import (
@@ -55,8 +54,7 @@ def _family_graph(spec: FamilySpec, limit: int):
     return generate(spec)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     """One family's cross-checked counts."""
 
     family: str

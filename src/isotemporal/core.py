@@ -10,7 +10,7 @@ ranks before anything else happens.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import operator
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -59,8 +59,45 @@ class ParseError(ValidationError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Pseudograph:
+_set = object.__setattr__  # how __init__ sets a record's fields
+
+
+class _Record:
+    """An immutable record: its fields are its __slots__, past a "__dict__" for cached_property.
+    It equals only a record of its own type with equal fields, hashes as the tuple of its fields
+    (one field: the field) and shows as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):  # a record with checks sets its fields in its own __init__
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__") or cls._fields
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, *value):  # also __delattr__
+        raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+
+class Pseudograph(_Record):
     """An undirected pseudograph: loops and parallel edges allowed.
 
     ``vertices`` is the ordered tuple of vertex ids 0..n-1.  ``edges`` is the
@@ -68,24 +105,23 @@ class Pseudograph:
     sorted so that (u, v) and (v, u) denote the same edge.
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, tuple[int, int]], ...]
+    __slots__ = ("vertices", "edges", "__dict__")
 
-    def __post_init__(self):
-        vertices = tuple(self.vertices)
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, tuple[int, int]]]):
+        vertices = tuple(vertices)
         if vertices != tuple(range(len(vertices))):
             raise UnknownVertexError(f"vertex ids must be 0..n-1 in order, got {vertices}")
         vset = set(vertices)
         norm = []
-        for i, (eid, pair) in enumerate(self.edges):
+        for i, (eid, pair) in enumerate(edges):
             if eid != i:
                 raise EdgeIdError(f"edge ids must be 0..t-1 in order, got id {eid} at position {i}")
             u, v = pair
             if u not in vset or v not in vset:
                 raise UnknownVertexError(f"edge {eid} endpoint pair {pair} not in vertex list")
             norm.append((i, (u, v) if u <= v else (v, u)))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(norm))
+        _set(self, "vertices", vertices)
+        _set(self, "edges", tuple(norm))
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "Pseudograph":
@@ -172,16 +208,14 @@ class Pseudograph:
         return tuple((u == v, len(par[u, v]), *sorted((profile[u], profile[v]))) for _, (u, v) in self.edges)
 
 
-@dataclass(frozen=True)
-class AdjacencyRelation:
+class AdjacencyRelation(_Record):
     """Symmetric, irreflexive edge adjacency: edges sharing >= 1 endpoint.
 
     A loop at v is adjacent to every other edge incident to v, including
     other loops at v; no edge is recorded as adjacent to itself.
     """
 
-    edge_count: int
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = ("edge_count", "pairs", "__dict__")
 
     def adjacent(self, i: int, j: int) -> bool:
         if i == j:
@@ -210,28 +244,28 @@ def adjacency(graph: Pseudograph) -> AdjacencyRelation:
     return AdjacencyRelation(graph.edge_count, frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class TemporalNetwork:
+class TemporalNetwork(_Record):
     """A pseudograph plus a bijective labeling of its edges onto {1..t}.
 
     ``labeling[e]`` is the temporal label of edge e.
     """
 
-    graph: Pseudograph
-    labeling: tuple[int, ...]
+    __slots__ = ("graph", "labeling", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labeling", tuple(self.labeling))
-        t = self.graph.edge_count
-        if len(self.labeling) != t:
-            raise MissingLabelError(f"expected {t} labels, got {len(self.labeling)}")
+    def __init__(self, graph: Pseudograph, labeling: Sequence[int]):
+        labeling = tuple(labeling)
+        t = graph.edge_count
+        if len(labeling) != t:
+            raise MissingLabelError(f"expected {t} labels, got {len(labeling)}")
         seen = set()
-        for e, lab in enumerate(self.labeling):
+        for e, lab in enumerate(labeling):
             if not 1 <= lab <= t:
                 raise LabelRangeError(f"edge {e} label {lab} outside 1..{t}")
             if lab in seen:
                 raise DuplicateLabelError(f"label {lab} used more than once")
             seen.add(lab)
+        _set(self, "graph", graph)
+        _set(self, "labeling", labeling)
 
     @property
     def edge_count(self) -> int:

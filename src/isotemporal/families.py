@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
+from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, _set, adjacency
 from .iso import _candidates, _first, edge_automorphism_group, label_isomorphism_witness, temporal_isomorphism_witness
 
 
@@ -39,65 +38,60 @@ class NoSwapScriptError(IsotemporalError):
     """The two labelings are not temporally isomorphic; no script exists."""
 
 
-@dataclass(frozen=True)
-class Star:
-    k: int
+class _Side(_Record):
+    """A one-sided family of k >= 1 edges at one hub; its type tells which."""
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidFamilyError(f"star parameter must be >= 1, got {self.k}")
+    __slots__ = ("k",)
 
-
-@dataclass(frozen=True)
-class Beachball:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidFamilyError(f"beachball parameter must be >= 1, got {self.k}")
+    def __init__(self, k: int):
+        if k < 1:
+            raise InvalidFamilyError(f"{type(self).__name__.lower()} parameter must be >= 1, got {k}")
+        _set(self, "k", k)
 
 
-@dataclass(frozen=True)
-class Daisy:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidFamilyError(f"daisy parameter must be >= 1, got {self.k}")
+class Star(_Side):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cycle:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise InvalidFamilyError(f"cycle length must be >= 3, got {self.n}")
+class Beachball(_Side):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diaster:
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.a + self.b < 1:
-            raise InvalidFamilyError(f"diaster needs a, b >= 0 and a + b >= 1, got ({self.a}, {self.b})")
+class Daisy(_Side):
+    __slots__ = ()
 
 
-StemSide = Union[Star, Beachball, Daisy]
+class Cycle(_Record):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if n < 3:
+            raise InvalidFamilyError(f"cycle length must be >= 3, got {n}")
+        _set(self, "n", n)
+
+
+class Diaster(_Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        if a < 0 or b < 0 or a + b < 1:
+            raise InvalidFamilyError(f"diaster needs a, b >= 0 and a + b >= 1, got ({a}, {b})")
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+
 _SIDES = (Star, Beachball, Daisy)
 
 
-@dataclass(frozen=True)
-class Stem:
-    left: StemSide
-    right: StemSide
+class Stem(_Record):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        for side in (self.left, self.right):
-            if not isinstance(side, _SIDES):
+    def __init__(self, left: _Side, right: _Side):
+        for side in (left, right):
+            if not isinstance(side, _Side):
                 raise InvalidFamilyError(f"stem sides must be star/beachball/daisy, got {side!r}")
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 FamilySpec = Union[Diaster, Star, Beachball, Daisy, Cycle, Stem]
@@ -216,8 +210,7 @@ def enumerate_family_specs(max_edges: int, include_cycles: bool = False) -> list
     return sorted(specs, key=spec_string)
 
 
-@dataclass(frozen=True)
-class TwoSidedShape:
+class TwoSidedShape(NamedTuple):
     """Recognized layout of a generated diaster or stem structure."""
 
     a: int
@@ -243,8 +236,7 @@ def recognize_two_sided(graph: Pseudograph) -> TwoSidedShape:
     raise NotGeneratedFamilyError("graph is not a generated diaster or stem structure")
 
 
-@dataclass(frozen=True)
-class DiasterSignature:
+class DiasterSignature(NamedTuple):
     """Complete isotemporal-class invariant of a two-sided labeling.
 
     central_label is the label on the central edge; left_below counts left
@@ -303,23 +295,14 @@ def binary_swap_sequence(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, 
     return steps
 
 
-@dataclass(frozen=True)
-class SwapStep:
+class SwapStep(NamedTuple):
     """One transposition: the consecutive label pair and its carrying edges."""
 
     labels: tuple[int, int]
     edges: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SwapScript:
-    steps: tuple[SwapStep, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
+SwapScript = tuple[SwapStep, ...]  # the steps in the order they apply
 
 
 def apply_swap_script(network: TemporalNetwork, script: SwapScript) -> TemporalNetwork:
@@ -362,14 +345,13 @@ def diaster_swap_permutation(n: TemporalNetwork, m: TemporalNetwork) -> SwapScri
         for p in range(order.index(e, i) - 1, i - 1, -1):
             steps.append(SwapStep((p + 1, p + 2), (order[p], order[p + 1])))
             order[p], order[p + 1] = order[p + 1], order[p]
-    script = SwapScript(tuple(steps))
+    script = tuple(steps)
     if apply_swap_script(n, script).labeling != want:
         raise IsotemporalError("internal error: script did not reach the target")
     return script
 
 
-@dataclass(frozen=True)
-class TransferReport:
+class TransferReport(NamedTuple):
     """Whether class counts transfer between two graphs.
 
     holds is true when some edge bijection preserves adjacency both ways

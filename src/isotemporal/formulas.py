@@ -10,8 +10,7 @@ differing side types are out of coverage and routed to brute force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .families import Beachball, Daisy, Diaster, FamilySpec, InvalidFamilyError, Star, Stem
 
@@ -23,8 +22,7 @@ BASIS_SINGLE = "single-class"
 BASIS_NOT_COVERED = "not-covered"
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     """A class count plus the basis that produced it; value None means the
     input is outside every closed formula and needs brute force."""
 

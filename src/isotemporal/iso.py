@@ -31,11 +31,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import IsotemporalError, Pseudograph, TemporalNetwork, adjacency
+from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, adjacency
 
 SEARCH_LIMIT = math.factorial(10)
 
@@ -44,8 +43,7 @@ class SearchLimitError(IsotemporalError):
     """The isomorphism search visits more than SEARCH_LIMIT nodes."""
 
 
-@dataclass(frozen=True)
-class EdgeIsomorphism:
+class EdgeIsomorphism(NamedTuple):
     """A consistent (vertex bijection, edge bijection) pair.
 
     ``vertex_map[v]`` is the image vertex and ``edge_map[e]`` the image
@@ -61,8 +59,7 @@ class EdgeIsomorphism:
         return tuple(em[e] for e in seq)
 
 
-@dataclass(frozen=True)
-class EdgePermutationGroup:
+class EdgePermutationGroup(_Record):
     """An edge automorphism group as twin classes plus a transversal.
 
     ``twin_classes`` partition the edge ids into sorted tuples, ordered by
@@ -72,8 +69,7 @@ class EdgePermutationGroup:
     uniquely tau o nu with tau in the transversal and nu in N.
     """
 
-    twin_classes: tuple[tuple[int, ...], ...]
-    transversal: tuple[tuple[int, ...], ...]
+    __slots__ = ("twin_classes", "transversal", "__dict__")
 
     @property
     def order(self) -> int:

@@ -25,8 +25,7 @@ per sequence met, the used edges at bits 0..t-1; the walks ending at x are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork
 
@@ -37,8 +36,7 @@ class PathLimitError(IsotemporalError):
     """Enumeration would exceed PATH_LIMIT temporal paths."""
 
 
-@dataclass(frozen=True)
-class TemporalPath:
+class TemporalPath(NamedTuple):
     edge_ids: tuple[int, ...]
     trace: tuple[int, ...]
 

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import math
 import sys
@@ -488,6 +489,14 @@ def test_a_renumbered_graph_carries_the_partition_a_walk_gives(pair):
             carried = route(renumbered)
         assert walk.call_count == 0
         assert summary(carried) == summary(route.__wrapped__(renumbered))
+
+
+def test_each_cached_route_keeps_its_public_signature():
+    # the wrapper's own (g, limit), not the walked route's (g) behind __wrapped__
+    for route in ROUTES:
+        assert str(inspect.signature(route)) == "(g: 'Pseudograph', limit=8) -> 'ClassPartition'"
+        assert str(inspect.signature(route.__wrapped__)) == "(g: 'Pseudograph') -> 'ClassPartition'"
+        assert route.__name__ in ("brute_force_classes", "swap_closure_classes") and route.__doc__
 
 
 def test_the_partition_cache_adds_no_failure_mode(monkeypatch):

@@ -265,6 +265,15 @@ def test_cli_entry_point_via_interpreter():
     assert proc.stdout == "40\n"
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up time on every command; -S keeps site's own imports out of the count
+    code = "import sys, isotemporal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_function_contract():
     rows = verify(4)
     assert all(row.verdict in ("AGREE", "AGREE-partial") for row in rows)

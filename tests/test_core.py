@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,14 +11,19 @@ from isotemporal import (
     ParseError,
     Pseudograph,
     Star,
+    TemporalNetwork,
     adjacency,
     build_network,
+    compare_partitions,
+    edge_automorphism_group,
     generate,
     parse_network,
     serialize_network,
     temporal_paths,
 )
 from isotemporal.classes import brute_force_classes
+from isotemporal.formulas import family_count
+from isotemporal.iso import label_isomorphism_witness
 from isotemporal.core import (
     VERTEX_LIMIT,
     DuplicateLabelError,
@@ -89,6 +97,58 @@ def test_edge_id_gap():
 def test_endpoint_pairs_are_normalized():
     g = Pseudograph.from_edges(3, [(2, 0)])
     assert g.endpoints(0) == (0, 2)
+
+
+# -- records -----------------------------------------------------------------
+
+
+def test_equal_pseudographs_are_equal_hash_equal_and_keep_their_cached_views():
+    g = Pseudograph.from_edges(3, [(1, 0), (1, 2), (2, 2)])
+    h = Pseudograph([0, 1, 2], [(0, (0, 1)), (1, (2, 1)), (2, (2, 2))])
+    assert g is not h and g == h and hash(g) == hash(h) == hash((g.vertices, g.edges))
+    assert g != Pseudograph.from_edges(3, [(0, 1), (1, 2)]) and g != (g.vertices, g.edges)
+    assert repr(g) == "Pseudograph(vertices=(0, 1, 2), edges=((0, (0, 1)), (1, (1, 2)), (2, (2, 2))))"
+    assert g.incidence == h.incidence == {0: (0,), 1: (0, 1), 2: (1, 2)}
+    assert g.incidence is g.incidence  # cached on first use
+    assert g.parallel_classes == {(0, 1): (0,), (1, 2): (1,), (2, 2): (2,)}
+    assert g.edge_order == (0, 1, 2) and g.edge_kinds == h.edge_kinds
+    assert adjacency(g).neighbors == ((1,), (0, 2), (1,)) and adjacency(h) is adjacency(g)
+    n, m = TemporalNetwork(g, [2, 1, 3]), TemporalNetwork(h, (2, 1, 3))
+    assert n == m and hash(n) == hash(m) and n.labeling == (2, 1, 3) and n.edge_with_label(1) == 1
+
+
+def test_assigning_or_deleting_a_record_field_raises():
+    g = generate(Diaster(1, 2))
+    n = build_network(g, [(0, 3), (1, 1), (2, 2), (3, 4)])
+    records = [
+        g,
+        n,
+        adjacency(g),
+        edge_automorphism_group(g),
+        brute_force_classes(g),
+        compare_partitions(g),
+        label_isomorphism_witness(n, n),
+        next(iter(temporal_paths(n))),
+        family_count(Diaster(1, 2)),
+    ]
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+    with pytest.raises(AttributeError):
+        g.label = "other"  # no new attributes either
+    assert g.edge_kinds == generate(Diaster(1, 2)).edge_kinds
+
+
+def test_records_copy_and_pickle_to_equal_records():
+    g = generate(Diaster(2, 1))
+    n = build_network(g, [(0, 3), (1, 1), (2, 2), (3, 4)])
+    for record in (g, n, adjacency(g), edge_automorphism_group(g), Star(3), Diaster(0, 2)):
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert clone == record and type(clone) is type(record) and hash(clone) == hash(record)
+    assert pickle.loads(pickle.dumps(g)).incidence == g.incidence
 
 
 # -- adjacency ---------------------------------------------------------------

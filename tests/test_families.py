@@ -15,6 +15,7 @@ from isotemporal import (
     NoSwapScriptError,
     Star,
     Stem,
+    SwapStep,
     TemporalNetwork,
     adjacency,
     apply_swap_script,
@@ -88,8 +89,32 @@ def test_invalid_parameters_rejected():
         Star(0)
     with pytest.raises(InvalidFamilyError):
         Cycle(2)
-    with pytest.raises(InvalidFamilyError):
+    with pytest.raises(InvalidFamilyError) as exc:
         Stem(Cycle(3), Star(1))
+    assert str(exc.value) == "stem sides must be star/beachball/daisy, got Cycle(n=3)"
+    with pytest.raises(InvalidFamilyError) as exc:
+        Daisy(0)
+    assert str(exc.value) == "daisy parameter must be >= 1, got 0"
+
+
+def test_spec_records_compare_by_type_and_fields():
+    assert Star(3) == Star(3) and hash(Star(3)) == hash(Star(3))
+    assert Star(3) != Daisy(3) and Beachball(3) != Star(3)
+    assert Stem(Star(2), Daisy(2)) != Stem(Daisy(2), Star(2))
+    assert Stem(Star(2), Daisy(2)) == parse_family_spec("stem:star:2/daisy:2")
+    assert Diaster(1, 2) != Diaster(2, 1) and Diaster(1, 2) != (1, 2)
+    assert len({Star(3), Daisy(3), Beachball(3), Star(3)}) == 3
+    assert repr(Stem(Star(2), Beachball(1))) == "Stem(left=Star(k=2), right=Beachball(k=1))"
+    assert repr(Diaster(0, 4)) == "Diaster(a=0, b=4)"
+
+
+def test_spec_records_are_immutable():
+    for spec, field in [(Star(2), "k"), (Cycle(4), "n"), (Diaster(1, 2), "b"), (Stem(Star(1), Daisy(1)), "left")]:
+        with pytest.raises(AttributeError):
+            setattr(spec, field, getattr(spec, field))
+        with pytest.raises(AttributeError):
+            delattr(spec, field)
+    assert Diaster(1, 2).b == 2
 
 
 def test_spec_grammar_round_trip():
@@ -279,6 +304,18 @@ def test_identical_labelings_give_empty_script():
     n = build_network(generate(Diaster(2, 2)), list(enumerate((1, 2, 3, 4, 5))))
     script = diaster_swap_permutation(n, n)
     assert len(script) == 0
+
+
+def test_a_script_is_a_tuple_of_swap_steps():
+    g = generate(Diaster(1, 2))
+    n = build_network(g, [(0, 3), (1, 1), (2, 2), (3, 4)])
+    m = build_network(g, [(0, 3), (1, 2), (2, 1), (3, 4)])
+    script = diaster_swap_permutation(n, m)
+    assert script == (SwapStep((1, 2), (1, 2)),) and type(script) is tuple
+    assert repr(script[0]) == "SwapStep(labels=(1, 2), edges=(1, 2))"
+    with pytest.raises(AttributeError):
+        script[0].labels = (2, 3)
+    assert apply_swap_script(n, list(script)) == m  # any sequence of steps replays
 
 
 def test_crossing_swap_moves_a_label_between_sides():
