@@ -63,16 +63,13 @@ _set = object.__setattr__  # how __init__ sets a record's fields
 
 
 class _Record:
-    """An immutable record: its fields are its __slots__, past a "__dict__" for cached_property.
-    It equals only a record of its own type with equal fields, hashes as the tuple of its fields
-    (one field: the field) and shows as Name(field=value, ...)."""
+    """An immutable record whose fields are its __slots__ (but "__dict__", kept for cached_property).
+    It equals only a record of its own type with equal fields and shows as Name(field=value)."""
 
     __slots__ = ()
 
     def __init__(self, *values):  # a record with checks sets its fields in its own __init__
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self._fields, values, strict=True):
             _set(self, name, value)
 
     def __init_subclass__(cls):
@@ -122,6 +119,9 @@ class Pseudograph(_Record):
             norm.append((i, (u, v) if u <= v else (v, u)))
         _set(self, "vertices", vertices)
         _set(self, "edges", tuple(norm))
+
+    def __hash__(self):  # every cache is keyed by graphs: read the fields directly
+        return hash((self.vertices, self.edges))
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "Pseudograph":
@@ -266,6 +266,9 @@ class TemporalNetwork(_Record):
             seen.add(lab)
         _set(self, "graph", graph)
         _set(self, "labeling", labeling)
+
+    def __hash__(self):  # the fields read directly, as in Pseudograph.__hash__
+        return hash((self.graph, self.labeling))
 
     @property
     def edge_count(self) -> int:

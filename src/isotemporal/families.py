@@ -38,9 +38,7 @@ class NoSwapScriptError(IsotemporalError):
     """The two labelings are not temporally isomorphic; no script exists."""
 
 
-class _Side(_Record):
-    """A one-sided family of k >= 1 edges at one hub; its type tells which."""
-
+class _Side(_Record):  # a star, beachball or daisy: k >= 1 edges at one hub, its type tells which
     __slots__ = ("k",)
 
     def __init__(self, k: int):
@@ -345,10 +343,9 @@ def diaster_swap_permutation(n: TemporalNetwork, m: TemporalNetwork) -> SwapScri
         for p in range(order.index(e, i) - 1, i - 1, -1):
             steps.append(SwapStep((p + 1, p + 2), (order[p], order[p + 1])))
             order[p], order[p + 1] = order[p + 1], order[p]
-    script = tuple(steps)
-    if apply_swap_script(n, script).labeling != want:
+    if apply_swap_script(n, steps).labeling != want:
         raise IsotemporalError("internal error: script did not reach the target")
-    return script
+    return tuple(steps)
 
 
 class TransferReport(NamedTuple):
