@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from isotemporal import (
     Beachball,
+    Cycle,
     Daisy,
     Diaster,
     ParseError,
     Pseudograph,
     Star,
+    Stem,
     TemporalNetwork,
     adjacency,
     build_network,
@@ -130,11 +132,15 @@ def test_assigning_or_deleting_a_record_field_raises():
         label_isomorphism_witness(n, n),
         next(iter(temporal_paths(n))),
         family_count(Diaster(1, 2)),
+        Star(2),
+        Cycle(4),
+        Diaster(1, 2),
+        Stem(Star(1), Daisy(1)),
     ]
     for record in records:
         for field in record._fields:
             with pytest.raises(AttributeError):
-                setattr(record, field, None)
+                setattr(record, field, getattr(record, field))
             with pytest.raises(AttributeError):
                 delattr(record, field)
     with pytest.raises(AttributeError):
