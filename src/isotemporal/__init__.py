@@ -59,6 +59,6 @@ from .families import (
     parse_family_spec,
     spec_string,
 )
-from .formulas import CountResult, diaster_formula, family_count, lattice_count, stem_formula, trivial_family_count
+from .formulas import CountResult, diaster_formula, family_count, lattice_count, stem_formula
 
 __version__ = "0.1.0"

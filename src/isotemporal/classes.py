@@ -25,20 +25,21 @@ labelings.  The representative, a class's least canonical labeling, is the
 least of the least linear extensions of the T-images of its orientation
 (read from 2-paths by the brute route); an injective name for the orbit of
 that orientation, it orders the classes and joins the routes' classes.
-Each route caches one partition per isomorphism class and carries it to an
-isomorphic graph along an edge map, which keeps adjacency and automorphisms
-and so the classes: the 165 specs of at most 7 edges build 126 graphs in 77
-isomorphism classes, and 57 of them need a walk.
+Each route keeps a partition on its graph, walks one graph per isomorphism
+class and carries its partition to an isomorphic graph along an edge map,
+which keeps adjacency and automorphisms and so the classes: the 165 specs of
+at most 7 edges build 126 graphs in 77 isomorphism classes, 57 walked.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
-from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, adjacency
+from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, adjacency, per_graph
 from .iso import SEARCH_LIMIT, EdgePermutationGroup, SearchLimitError, _candidates, _edge_maps
 from .iso import edge_automorphism_group, is_temporal_isomorphic
 from .paths import _bits, _path_step
@@ -174,31 +175,33 @@ def _carried(p: ClassPartition, g: Pseudograph) -> Optional[ClassPartition]:
 
 
 def _per_isomorphism_class(route):
-    """Cache route's partitions, one walked per isomorphism class: a graph isomorphic to one
-    already walked (same vertex count and edge kinds, then an edge map) carries its partition,
-    and a graph met again is answered from ``met``.  A partition does not depend on the limit,
-    so the limit is checked first and left out of the key."""
-    met: dict[Pseudograph, ClassPartition] = {}
-    walked: dict[tuple, list[ClassPartition]] = {}  # per (vertex count, sorted edge kinds)
+    """Keep route's partition on each graph (per_graph), walking one graph per isomorphism class: a
+    graph isomorphic to one in ``walked`` (same vertex count and edge kinds, then an edge map) carries
+    its partition.  The limit is checked first, as the partition does not depend on it."""
+    walked: dict[tuple, list[weakref.ref]] = {}  # per (vertex count, sorted edge kinds), in walk order
+
+    def forget(key: tuple, ref: weakref.ref) -> None:  # a walked graph is gone, and so is its entry
+        walked[key].remove(ref)
+        if not walked[key]:
+            del walked[key]
+
+    @per_graph
+    @functools.wraps(route)
+    def partition_of(g: Pseudograph) -> ClassPartition:
+        key = (g.vertex_count, tuple(sorted(g.edge_kinds)))
+        graphs = filter(None, [ref() for ref in walked.get(key, ())])
+        p = next(filter(None, (_carried(partition_of(h), g) for h in graphs)), None)
+        if p is None:
+            p = route(g)
+            walked.setdefault(key, []).append(weakref.ref(g, functools.partial(forget, key)))
+        return p
 
     @functools.wraps(route)
     def partition(g: Pseudograph, limit: int = DEFAULT_EDGE_LIMIT) -> ClassPartition:
         check_limit(g.edge_count, limit)
-        p = met.get(g)
-        if p is None:
-            bucket = walked.setdefault((g.vertex_count, tuple(sorted(g.edge_kinds))), [])
-            p = next(filter(None, (_carried(q, g) for q in bucket)), None)
-            if p is None:
-                p = route(g)
-                bucket.append(p)
-            met[g] = p
-        return p
+        return partition_of(g)
 
-    def cache_clear() -> None:
-        met.clear()
-        walked.clear()
-
-    partition.cache_clear = cache_clear
+    partition.walked = walked
     partition.__signature__ = None  # inspect.signature stops here: (g, limit), not route's (g)
     return partition
 

@@ -2,9 +2,9 @@
 
 A pseudograph may contain loops and parallel edges.  Edges are identified
 positionally (ids 0..t-1) because parallel edges share endpoint pairs.  A
-temporal network attaches a bijective labeling onto {1..t}; only the order
-of labels matters, so arbitrary real-valued time stamps are normalized to
-ranks before anything else happens.
+temporal network's labels must be a bijection onto {1..t}, the ranks of the
+time stamps; TemporalNetwork checks this.  A graph owns what is derived from
+it (cached_property, per_graph); file and family graphs share a graph table.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 # Most vertices a network file may declare.  Far above what any search here
 # handles, yet small enough that a mistyped count cannot exhaust memory.
 VERTEX_LIMIT = 10_000
+
+GRAPH_TABLE_SIZE = 256  # graphs the graph table keeps; a benchmark pass meets at most 126
 
 
 class IsotemporalError(Exception):
@@ -63,8 +65,8 @@ _set = object.__setattr__  # how __init__ sets a record's fields
 
 
 class _Record:
-    """An immutable record whose fields are its __slots__ (but "__dict__", kept for cached_property).
-    It equals only a record of its own type with equal fields and shows as Name(field=value)."""
+    """An immutable record whose fields are its __slots__ but "__dict__" (for cached_property) and
+    "__weakref__".  It equals only a record of its own type with equal fields; repr Name(field=value)."""
 
     __slots__ = ()
 
@@ -73,7 +75,7 @@ class _Record:
             _set(self, name, value)
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__") or cls._fields
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("__")) or cls._fields
         cls._values = operator.attrgetter(*cls._fields)
 
     def __eq__(self, other):
@@ -102,7 +104,7 @@ class Pseudograph(_Record):
     sorted so that (u, v) and (v, u) denote the same edge.
     """
 
-    __slots__ = ("vertices", "edges", "__dict__")
+    __slots__ = ("vertices", "edges", "__dict__", "__weakref__")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, tuple[int, int]]]):
         vertices = tuple(vertices)
@@ -119,9 +121,6 @@ class Pseudograph(_Record):
             norm.append((i, (u, v) if u <= v else (v, u)))
         _set(self, "vertices", vertices)
         _set(self, "edges", tuple(norm))
-
-    def __hash__(self):  # every cache is keyed by graphs: read the fields directly
-        return hash((self.vertices, self.edges))
 
     @classmethod
     def from_edges(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "Pseudograph":
@@ -232,7 +231,15 @@ class AdjacencyRelation(_Record):
         return tuple(map(tuple, out))
 
 
-@functools.lru_cache(maxsize=None)
+def per_graph(fn):
+    """fn(graph) as a cached_property named after fn, applied from outside the class: computed once
+    per graph and kept in the graph's __dict__, so it lives and dies with the graph."""
+    prop = cached_property(fn)
+    prop.attrname = fn.__name__
+    return functools.wraps(fn)(lambda graph: prop.__get__(graph))
+
+
+@per_graph
 def adjacency(graph: Pseudograph) -> AdjacencyRelation:
     """Edge-adjacency relation of a pseudograph."""
     pairs = set()
@@ -266,9 +273,6 @@ class TemporalNetwork(_Record):
             seen.add(lab)
         _set(self, "graph", graph)
         _set(self, "labeling", labeling)
-
-    def __hash__(self):  # the fields read directly, as in Pseudograph.__hash__
-        return hash((self.graph, self.labeling))
 
     @property
     def edge_count(self) -> int:
@@ -320,10 +324,9 @@ def serialize_network(network: TemporalNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=GRAPH_TABLE_SIZE)
 def _file_graph(vertex_count: int, pairs: tuple[tuple[int, int], ...]) -> Pseudograph:
-    # one graph per distinct file graph, so its cached properties and every cache keyed by
-    # it are computed once; lru_cache keeps no failed build
+    # the graph table: one graph object per distinct file or family graph; no failed build is kept
     return Pseudograph.from_edges(vertex_count, pairs)
 
 
@@ -333,8 +336,8 @@ def parse_network(text: str) -> TemporalNetwork:
     Blank lines and '#'-prefixed comments are ignored.  Syntax problems,
     and a vertex count above VERTEX_LIMIT, raise ParseError with the line
     number; semantic problems raise the corresponding validation error.
-    Files with equal vertex counts and equal endpoint pairs in equal order
-    share one graph object; the 64 graphs used last are kept.
+    Equal vertex counts and endpoint pairs in equal order share one graph
+    object from the graph table, which keeps the GRAPH_TABLE_SIZE graphs used last.
     """
     lines = text.splitlines()
     rows = [(no, fields) for no, fields in enumerate(map(str.split, lines), start=1) if fields and fields[0][0] != "#"]

@@ -18,11 +18,11 @@ labeling onto the other up to label isomorphism.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, _set, adjacency
+from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, _file_graph, _set, adjacency
+from .core import per_graph
 from .iso import _candidates, _first, edge_automorphism_group, label_isomorphism_witness, temporal_isomorphism_witness
 
 
@@ -185,8 +185,9 @@ def vertex_count(spec: FamilySpec) -> int:
 
 
 def generate(spec: FamilySpec) -> Pseudograph:
-    """Deterministic pseudograph for a family spec (fixed numbering)."""
-    return Pseudograph.from_edges(*_layout(spec))
+    """Deterministic pseudograph for a family spec (fixed numbering), from the graph table."""
+    n, pairs = _layout(spec)
+    return _file_graph(n, tuple(pairs))
 
 
 def enumerate_family_specs(max_edges: int, include_cycles: bool = False) -> list[FamilySpec]:
@@ -216,7 +217,7 @@ class TwoSidedShape(NamedTuple):
     reflective: bool
 
 
-@functools.lru_cache(maxsize=None)
+@per_graph
 def recognize_two_sided(graph: Pseudograph) -> TwoSidedShape:
     """Match a graph against the generated stem layouts (diasters included).
 

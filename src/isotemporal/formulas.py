@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .families import Beachball, Daisy, Diaster, FamilySpec, InvalidFamilyError, Star, Stem
+from .families import Beachball, Daisy, Diaster, FamilySpec, Star, Stem
 
 BASIS_UNEQUAL = "closed-form-unequal"
 BASIS_EQUAL = "closed-form-equal"
@@ -77,13 +77,6 @@ def stem_formula(spec: Stem) -> CountResult:
     return CountResult(None, BASIS_NOT_COVERED)
 
 
-def trivial_family_count(spec: FamilySpec) -> CountResult:
-    """Stars, beachballs, and daisies each form a single isotemporal class."""
-    if not isinstance(spec, (Star, Beachball, Daisy)):
-        raise InvalidFamilyError(f"{spec!r} is not a star/beachball/daisy")
-    return CountResult(1, BASIS_SINGLE)
-
-
 def family_count(spec: FamilySpec) -> CountResult:
     """Route a family spec to its closed formula, if any."""
     if isinstance(spec, Diaster):
@@ -93,5 +86,5 @@ def family_count(spec: FamilySpec) -> CountResult:
     if isinstance(spec, Stem):
         return stem_formula(spec)
     if isinstance(spec, (Star, Beachball, Daisy)):
-        return trivial_family_count(spec)
+        return CountResult(1, BASIS_SINGLE)  # each forms a single isotemporal class
     return CountResult(None, BASIS_NOT_COVERED)

@@ -28,13 +28,12 @@ the result up in T; ``.elements`` is a derived view the package never builds.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, adjacency
+from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, adjacency, per_graph
 
 SEARCH_LIMIT = math.factorial(10)
 
@@ -190,7 +189,7 @@ def edge_isomorphisms(g: Pseudograph, h: Pseudograph) -> tuple[EdgeIsomorphism, 
     return tuple(EdgeIsomorphism(*p) for p in sorted(found))
 
 
-@functools.lru_cache(maxsize=None)
+@per_graph
 def edge_automorphism_group(g: Pseudograph) -> EdgePermutationGroup:
     """The group of edge permutations induced by self-isomorphisms of g.
 
@@ -308,7 +307,7 @@ def count_distinct_labelings(g: Pseudograph) -> int:
     return total // order
 
 
-@functools.lru_cache(maxsize=None)
+@per_graph
 def canonical_label_vectors(g: Pseudograph) -> tuple[tuple[int, ...], ...]:
     """All canonical labelings of g, in lexicographic order.
 

@@ -16,7 +16,7 @@ import operator
 from types import SimpleNamespace
 
 from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, diaster_signature, edge_automorphism_group
-from isotemporal import classes
+from isotemporal import classes, core
 from reference_paths import reference_edge_sequences
 
 
@@ -138,3 +138,15 @@ def split_largest_class(partition):
     class_of = class_of_orientation(partition)
     class_of[orientation(partition.graph, partition.representatives[largest])] = partition.class_count
     return class_of
+
+
+PARTITION_ROUTES = (classes.brute_force_classes, classes.swap_closure_classes)
+
+
+def forget_graphs():
+    """Empty the graph table and both routes' indexes of walked graphs, so that the next graph
+    of each isomorphism class is a new object and is walked.  Graphs built before keep what
+    they own, their partitions included."""
+    core._file_graph.cache_clear()
+    for route in PARTITION_ROUTES:
+        route.walked.clear()

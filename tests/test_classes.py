@@ -1,8 +1,10 @@
 import functools
+import gc
 import inspect
 import json
 import math
 import sys
+import weakref
 from unittest import mock
 
 import pytest
@@ -29,6 +31,7 @@ from isotemporal import (
     parse_family_spec,
     swap_closure_classes,
     swap_neighbors,
+    temporal_isomorphism_witness,
 )
 from isotemporal import classes, core
 from isotemporal.classes import LimitExceededError
@@ -40,6 +43,7 @@ from reference_classes import (
     altered_swap_route,
     blocks_of,
     class_of_orientation,
+    forget_graphs,
     reference_brute_blocks,
     reference_swap_blocks,
     split_largest_class,
@@ -366,6 +370,7 @@ def test_brute_route_reads_no_line_graph_orientation(monkeypatch):
     # The brute-force route must rest on path sets alone, never on edge
     # adjacency, the line-graph orientation the swap route keys on.
     specs = ("cycle:6", "diaster:2,3", "stem:daisy:2/beachball:2")
+    forget_graphs()  # new graphs, walked below
     graphs = [generate(parse_family_spec(s)) for s in specs]
     expected = [reference_brute_blocks(g) for g in graphs]
 
@@ -376,7 +381,6 @@ def test_brute_route_reads_no_line_graph_orientation(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "isotemporal" and getattr(module, "adjacency", None) is original:
             monkeypatch.setattr(module, "adjacency", forbidden)
-    classes.brute_force_classes.cache_clear()
     for spec, g, blocks in zip(specs, graphs, expected):
         assert blocks_of(brute_force_classes(g)) == blocks, spec
 
@@ -428,11 +432,6 @@ def test_hard_cap_is_never_exceeded():
 ROUTES = (brute_force_classes, swap_closure_classes)
 
 
-def clear_partition_caches():
-    for route in ROUTES:
-        route.cache_clear()
-
-
 def summary(p):
     return p.method, p.class_count, p.representatives, p.block_sizes
 
@@ -449,11 +448,16 @@ TWIN_LOOPS = Pseudograph.from_edges(3, [(0, 0), (0, 2), (2, 2), (0, 2)])
 TWIN_LOOPS_RENUMBERED = Pseudograph.from_edges(3, [(0, 2), (2, 2), (0, 0), (0, 2)])
 
 
+def fresh(g):
+    """An equal graph object that owns nothing yet."""
+    return Pseudograph(g.vertices, g.edges)
+
+
 def test_a_carried_partition_keeps_each_twin_class_in_order(monkeypatch):
-    g, renumbered = TWIN_LOOPS, TWIN_LOOPS_RENUMBERED
+    g, renumbered = fresh(TWIN_LOOPS), fresh(TWIN_LOOPS_RENUMBERED)
     walks = []
     monkeypatch.setattr(classes, "_walk", lambda *args, walk=classes._walk: walks.append(args[0]) or walk(*args))
-    clear_partition_caches()
+    forget_graphs()
     for route in ROUTES:
         route(renumbered)
         carried = route(g)
@@ -481,8 +485,8 @@ def renumbered_pairs(draw):
 @example(pair=(TWIN_LOOPS_RENUMBERED, TWIN_LOOPS))
 @example(pair=(generate(Diaster(3, 4)), generate(Diaster(4, 3))))
 def test_a_renumbered_graph_carries_the_partition_a_walk_gives(pair):
-    g, renumbered = pair
-    clear_partition_caches()
+    g, renumbered = map(fresh, pair)
+    forget_graphs()
     for route in ROUTES:
         route(g)
         with mock.patch.object(classes, "_walk", wraps=classes._walk) as walk:
@@ -501,6 +505,7 @@ def test_each_cached_route_keeps_its_public_signature():
 
 def test_the_partition_cache_adds_no_failure_mode(monkeypatch):
     # an isomorphism search past its limit is a miss: the graph is walked, never refused
+    forget_graphs()
     g, h = generate(Diaster(3, 4)), generate(Diaster(4, 3))
     searches = []
 
@@ -510,9 +515,22 @@ def test_the_partition_cache_adds_no_failure_mode(monkeypatch):
         yield
 
     monkeypatch.setattr(classes, "_edge_maps", over_the_limit)
-    clear_partition_caches()
     for route in ROUTES:
         assert summary(route(g)) == summary(route.__wrapped__(g))
         assert summary(route(h)) == summary(route.__wrapped__(h))
         assert route(h) is route(h) and route(g) is route(g)  # met again: no search
     assert searches == [h, h]
+
+
+def test_a_dropped_graph_takes_what_it_owns_with_it():
+    # everything derived from a graph lives on the graph, and the walked-graph index holds it weakly
+    g = Pseudograph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 3)])
+    ref = weakref.ref(g)
+    n, m = TemporalNetwork(g, (1, 2, 3, 4, 5, 6)), TemporalNetwork(g, (6, 5, 4, 3, 2, 1))
+    assert compare_partitions(g).equal
+    assert canonical_labeling(n).graph is g and temporal_isomorphism_witness(n, m) is None
+    del g, n, m
+    gc.collect()
+    assert ref() is None
+    for route in ROUTES:
+        assert all(graph() is not None for bucket in route.walked.values() for graph in bucket)

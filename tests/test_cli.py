@@ -27,8 +27,8 @@ from isotemporal import (
     serialize_network,
 )
 from isotemporal.cli import EXIT_ERROR, EXIT_OK, run, verify
-from isotemporal.core import VERTEX_LIMIT
-from reference_classes import altered_swap_route, blocks_of, split_largest_class
+from isotemporal.core import GRAPH_TABLE_SIZE, VERTEX_LIMIT, _file_graph
+from reference_classes import altered_swap_route, blocks_of, forget_graphs, split_largest_class
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parent.parent / "src")
@@ -305,12 +305,11 @@ def test_classes_keeps_its_output_contract(capsys):
 
 
 def test_classes_keeps_its_output_contract_in_a_shuffled_order(capsys):
-    # from empty caches most specs meet a graph isomorphic to an earlier one (diaster:a,b and
+    # from no graphs most specs meet a graph isomorphic to an earlier one (diaster:a,b and
     # diaster:b,a, stems that are diasters), so most answers are carried partitions
     cases = json.loads((FIXTURES / "classes8.json").read_text(encoding="utf-8"))
     random.Random(1717).shuffle(cases)
-    classes.brute_force_classes.cache_clear()
-    classes.swap_closure_classes.cache_clear()
+    forget_graphs()
     replay_classes8(capsys, cases)
 
 
@@ -372,9 +371,28 @@ def test_classes_above_eight_edges_keep_their_output(capsys, spec, digest):
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
+def test_count_hands_both_routes_one_graph_object(capsys, monkeypatch):
+    seen = []
+    for name in ("brute_force_classes", "swap_closure_classes"):
+        route = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda g, limit, route=route: seen.append(g) or route(g, limit))
+    code, out, err = run_capture(capsys, ["count", "--family", "diaster:3,4", "--method", "all"])
+    assert (code, err) == (EXIT_OK, "") and "verdict: AGREE" in out
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
+def test_verify_keeps_the_graph_table_within_its_bound(capsys):
+    # verify at the hard cap meets 306 distinct graphs, more than the table keeps
+    forget_graphs()
+    code, out, err = run_capture(capsys, ["verify", "--max-edges", "10", "--format", "json", "--no-timing"])
+    assert (code, err) == (EXIT_OK, "") and len(json.loads(out)) == 374
+    info = _file_graph.cache_info()
+    assert info.maxsize == GRAPH_TABLE_SIZE and 0 < info.currsize <= GRAPH_TABLE_SIZE < info.misses
+
+
 def test_brute_route_refuses_a_state_past_the_path_limit(capsys, monkeypatch):
     monkeypatch.setattr(paths, "PATH_LIMIT", 12)
-    classes.brute_force_classes.cache_clear()
+    forget_graphs()
     code, out, err = run_capture(capsys, ["count", "--family", "cycle:6", "--method", "brute"])
     assert (code, out) == (EXIT_ERROR, "")
     assert err == "error: more than 12 temporal paths\n"
@@ -383,18 +401,16 @@ def test_brute_route_refuses_a_state_past_the_path_limit(capsys, monkeypatch):
 def test_an_isomorphism_class_is_walked_once_per_route(capsys, monkeypatch):
     walks = []
     monkeypatch.setattr(classes, "_walk", lambda *args, walk=classes._walk: walks.append(args[0]) or walk(*args))
-    classes.brute_force_classes.cache_clear()
-    classes.swap_closure_classes.cache_clear()
+    forget_graphs()
     for family, walked in (("diaster:3,4", 2), ("diaster:4,3", 2), ("stem:star:3/star:4", 2)):
         code, out, err = run_capture(capsys, ["count", "--family", family, "--method", "all"])
         assert (code, err) == (EXIT_OK, ""), family
         assert "brute: 20" in out and "swap: 20" in out and "verdict: AGREE" in out, family
         assert len(walks) == walked, family
-    classes.brute_force_classes.cache_clear()
-    classes.swap_closure_classes.cache_clear()
+    forget_graphs()
     assert run_capture(capsys, ["count", "--family", "diaster:4,3", "--method", "all"])[0] == EXIT_OK
     assert len(walks) == 4
-    # the limit is checked before the cache is read: a cached 6-edge partition is still refused
+    # the limit is checked before the graph's partition is read: a kept 6-edge partition is still refused
     six = generate(parse_family_spec("diaster:2,3"))
     for route in (classes.brute_force_classes, classes.swap_closure_classes):
         assert route(six, 8).class_count == 12
@@ -402,10 +418,10 @@ def test_an_isomorphism_class_is_walked_once_per_route(capsys, monkeypatch):
             route(six, 5)
         with pytest.raises(classes.LimitExceededError):
             route(generate(parse_family_spec("diaster:3,2")), 5)
-    # a cached cycle:6 is walked again after clearing, and the walk still refuses
+    # a new cycle:6 graph is walked again after forgetting the graphs, and the walk still refuses
     assert run_capture(capsys, ["count", "--family", "cycle:6", "--method", "brute"])[:2] == (EXIT_OK, "8\n")
     monkeypatch.setattr(paths, "PATH_LIMIT", 12)
-    classes.brute_force_classes.cache_clear()
+    forget_graphs()
     assert run_capture(capsys, ["count", "--family", "cycle:6", "--method", "brute"]) == (
         EXIT_ERROR,
         "",
@@ -424,8 +440,7 @@ def test_no_route_enumerates_canonical_labelings(capsys, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "isotemporal" and getattr(module, "canonical_label_vectors", None) is original:
             monkeypatch.setattr(module, "canonical_label_vectors", enumerate_labelings)
-    classes.brute_force_classes.cache_clear()
-    classes.swap_closure_classes.cache_clear()
+    forget_graphs()
     for family, count in (("cycle:9", 29), ("diaster:4,5", 30)):
         argv = ["count", "--family", family, "--method", "all", "--limit", "10", "--format", "json"]
         code, out, err = run_capture(capsys, argv)
@@ -489,8 +504,7 @@ def test_no_command_expands_the_automorphism_group(capsys, monkeypatch):
         raise AssertionError("the automorphism group was expanded")
 
     monkeypatch.setattr(EdgePermutationGroup, "elements", property(expand))
-    classes.brute_force_classes.cache_clear()
-    classes.swap_closure_classes.cache_clear()
+    forget_graphs()
     for family in ("diaster:1,8", "stem:star:8/beachball:1"):
         argv = ["count", "--family", family, "--method", "all", "--limit", "10", "--format", "json"]
         code, out, err = run_capture(capsys, argv)

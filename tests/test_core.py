@@ -114,7 +114,8 @@ def test_equal_pseudographs_are_equal_hash_equal_and_keep_their_cached_views():
     assert g.incidence is g.incidence  # cached on first use
     assert g.parallel_classes == {(0, 1): (0,), (1, 2): (1,), (2, 2): (2,)}
     assert g.edge_order == (0, 1, 2) and g.edge_kinds == h.edge_kinds
-    assert adjacency(g).neighbors == ((1,), (0, 2), (1,)) and adjacency(h) is adjacency(g)
+    assert adjacency(g).neighbors == ((1,), (0, 2), (1,)) and adjacency(h) == adjacency(g)
+    assert adjacency(g) is adjacency(g) and adjacency(h) is not adjacency(g)  # each graph owns its own
     n, m = TemporalNetwork(g, [2, 1, 3]), TemporalNetwork(h, (2, 1, 3))
     assert n == m and hash(n) == hash(m) and n.labeling == (2, 1, 3) and n.edge_with_label(1) == 1
 

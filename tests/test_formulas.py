@@ -12,7 +12,6 @@ from isotemporal import (
     family_count,
     lattice_count,
     stem_formula,
-    trivial_family_count,
 )
 from isotemporal.formulas import (
     BASIS_EQUAL,
@@ -21,6 +20,7 @@ from isotemporal.formulas import (
     BASIS_SINGLE,
     BASIS_TRANSFER,
     BASIS_UNEQUAL,
+    CountResult,
 )
 
 
@@ -107,15 +107,8 @@ def test_stem_formula_covers_all_unequal_type_combinations():
 
 
 def test_trivial_families_have_one_class():
-    assert trivial_family_count(Star(5)).value == 1
-    assert trivial_family_count(Daisy(1)).value == 1
-    assert trivial_family_count(Beachball(3)).value == 1
-    assert trivial_family_count(Star(5)).basis == BASIS_SINGLE
-
-
-def test_trivial_family_count_rejects_other_specs():
-    with pytest.raises(InvalidFamilyError):
-        trivial_family_count(Diaster(1, 2))
+    for spec in (Star(5), Daisy(1), Beachball(3)):
+        assert family_count(spec) == CountResult(1, BASIS_SINGLE), spec
 
 
 def test_family_count_routing():
