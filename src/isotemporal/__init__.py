@@ -12,16 +12,14 @@ from .core import (
     parse_network,
     serialize_network,
 )
-from .paths import TemporalPath, edge_sequences, max_temporal_path_length, temporal_paths
+from .paths import TemporalPath, edge_sequences, temporal_paths
 from .iso import (
     EdgeIsomorphism,
     EdgePermutationGroup,
     canonical_label_vectors,
     canonical_labeling,
-    count_distinct_labelings,
     edge_automorphism_group,
     edge_isomorphisms,
-    is_label_isomorphic,
     is_temporal_isomorphic,
     label_isomorphism_witness,
     temporal_isomorphism_witness,
@@ -40,7 +38,6 @@ from .families import (
     Cycle,
     Daisy,
     Diaster,
-    DiasterSignature,
     FamilySpec,
     InvalidFamilyError,
     NoSwapScriptError,
@@ -48,11 +45,7 @@ from .families import (
     Stem,
     SwapScript,
     SwapStep,
-    TransferReport,
     apply_swap_script,
-    binary_swap_sequence,
-    check_transfer_conditions,
-    diaster_signature,
     diaster_swap_permutation,
     enumerate_family_specs,
     generate,

@@ -137,10 +137,6 @@ class Pseudograph(_Record):
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return self.edges[edge_id][1]
 
-    def is_loop(self, edge_id: int) -> bool:
-        u, v = self.endpoints(edge_id)
-        return u == v
-
     @cached_property
     def incidence(self) -> dict[int, tuple[int, ...]]:
         """Vertex -> ids of edges touching it (a loop listed once)."""
@@ -151,19 +147,6 @@ class Pseudograph(_Record):
                 inc[v].append(eid)
         return {v: tuple(es) for v, es in inc.items()}
 
-    def degree(self, vertex: int) -> int:
-        """Edge-incidence count; a loop contributes 2."""
-        d = 0
-        for eid, (u, v) in self.edges:
-            if u == vertex:
-                d += 1
-            if v == vertex:
-                d += 1
-        return d
-
-    def loop_count(self, vertex: int) -> int:
-        return sum(1 for _, (u, v) in self.edges if u == vertex and v == vertex)
-
     @cached_property
     def parallel_classes(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Endpoint pair -> ids of the edges sharing it."""
@@ -171,10 +154,6 @@ class Pseudograph(_Record):
         for eid, pair in self.edges:
             cls.setdefault(pair, []).append(eid)
         return {p: tuple(es) for p, es in cls.items()}
-
-    def multiplicity(self, u: int, v: int) -> int:
-        pair = (u, v) if u <= v else (v, u)
-        return len(self.parallel_classes.get(pair, ()))
 
     @cached_property
     def edge_order(self) -> tuple[int, ...]:

@@ -1,4 +1,4 @@
-"""Graph-family generators and the two-sided structure toolkit.
+"""Graph-family generators and swap scripts.
 
 Families: diasters D(a,b), stars, beachballs, daisies, cycles, and stem
 structures S(G,H) joining two star/beachball/daisy sides by a central
@@ -8,30 +8,22 @@ daisy is one side at hub 0; a two-sided graph has the central edge as id
 1..a and right edges as a+1..a+b.  A diaster has two star sides (a or b
 may be 0), so Stem(Star(a), Star(b)) is Diaster(a,b) by construction.
 
-The signature of a labeled two-sided graph (central label, count of left
-labels below it) is a complete isotemporal-class invariant, reflected
-when the graph is mirror-symmetric.  Swap scripts need no signature: on
-every pseudograph, two temporally isomorphic networks admit a script of
-transpositions of consecutive labels on non-adjacent edges taking one
-labeling onto the other up to label isomorphism.
+Swap scripts: on every pseudograph, two temporally isomorphic networks
+admit a script of transpositions of consecutive labels on non-adjacent
+edges taking one labeling onto the other up to label isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Union
 
 from .core import IsotemporalError, Pseudograph, TemporalNetwork, _Record, _file_graph, _set, adjacency
-from .core import per_graph
-from .iso import _candidates, _first, edge_automorphism_group, label_isomorphism_witness, temporal_isomorphism_witness
+from .iso import label_isomorphism_witness, temporal_isomorphism_witness
 
 
 class InvalidFamilyError(IsotemporalError):
     """Bad family parameters or unparseable family spec."""
-
-
-class NotGeneratedFamilyError(IsotemporalError):
-    """The graph does not match any generated two-sided layout."""
 
 
 class NoSwapScriptError(IsotemporalError):
@@ -209,91 +201,6 @@ def enumerate_family_specs(max_edges: int, include_cycles: bool = False) -> list
     return sorted(specs, key=spec_string)
 
 
-class TwoSidedShape(NamedTuple):
-    """Recognized layout of a generated diaster or stem structure."""
-
-    a: int
-    b: int
-    reflective: bool
-
-
-@per_graph
-def recognize_two_sided(graph: Pseudograph) -> TwoSidedShape:
-    """Match a graph against the generated stem layouts (diasters included).
-
-    Each layout puts edge 0 and the a left edges, and no others, at vertex
-    0, so a is read from the graph.  Both sides must be non-empty; a
-    one-sided 'diaster' is a star whose central edge is not
-    automorphism-invariant, so the signature machinery does not apply.
-    """
-    a = len(graph.incidence.get(0, ())) - 1
-    b = graph.edge_count - 1 - a
-    if a >= 1 and b >= 1:
-        for left_type, right_type in itertools.product(_SIDES, repeat=2):
-            if graph == generate(Stem(left_type(a), right_type(b))):
-                return TwoSidedShape(a, b, a == b and left_type is right_type)
-    raise NotGeneratedFamilyError("graph is not a generated diaster or stem structure")
-
-
-class DiasterSignature(NamedTuple):
-    """Complete isotemporal-class invariant of a two-sided labeling.
-
-    central_label is the label on the central edge; left_below counts left
-    edges labeled below it.  When the graph is mirror-symmetric the key
-    folds left_below with its reflection.
-    """
-
-    central_label: int
-    left_below: int
-    reflective: bool
-
-    @property
-    def key(self) -> tuple[int, int]:
-        k = self.left_below
-        if self.reflective:
-            k = min(k, self.central_label - 1 - k)
-        return (self.central_label, k)
-
-
-def diaster_signature(network: TemporalNetwork) -> DiasterSignature:
-    """Signature of a labeled generated diaster or stem structure."""
-    shape = recognize_two_sided(network.graph)
-    central = network.labeling[0]
-    k = sum(1 for e in range(1, shape.a + 1) if network.labeling[e] < central)
-    return DiasterSignature(central, k, shape.reflective)
-
-
-def binary_swap_sequence(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]:
-    """Adjacent transpositions (1-based positions, application order) taking a to b.
-
-    Both sequences must be 0/1 with equal length and equal zero counts.
-    Every emitted swap exchanges unequal neighbors: scanning left to
-    right, the nearest copy of the needed value is walked down one
-    position at a time.
-    """
-    a = list(a)
-    b = list(b)
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if any(x not in (0, 1) for x in a + b):
-        raise ValueError("sequences must be binary")
-    if a.count(0) != b.count(0):
-        raise ValueError(f"population mismatch: {a.count(0)} zeros vs {b.count(0)}")
-    steps: list[tuple[int, int]] = []
-    for i in range(len(a)):
-        if a[i] == b[i]:
-            continue
-        j = next(idx for idx in range(i + 1, len(a)) if a[idx] == b[i])
-        for p in range(j - 1, i - 1, -1):
-            if a[p] == a[p + 1]:
-                raise IsotemporalError("internal error: swap of identical elements")
-            a[p], a[p + 1] = a[p + 1], a[p]
-            steps.append((p + 1, p + 2))
-    if a != b:
-        raise IsotemporalError("internal error: swap sequence failed to reach target")
-    return steps
-
-
 class SwapStep(NamedTuple):
     """One transposition: the consecutive label pair and its carrying edges."""
 
@@ -329,8 +236,8 @@ def diaster_swap_permutation(n: TemporalNetwork, m: TemporalNetwork) -> SwapScri
     With phi the label isomorphism witness (the target is n, no swaps), or
     else the temporal one, the target gives edge e the label m puts on
     phi(e).  Over n's edges ordered by label, each target edge is walked
-    down to its label, as binary_swap_sequence walks side bits.  phi keeps
-    the label order of every adjacent pair, so n and the target order
+    down to its label, one swap with the edge below it at a time.  phi
+    keeps the label order of every adjacent pair, so n and the target order
     adjacent edges alike, and swaps keep that.  Every edge a walk passes is
     therefore inverted relative to the target, and so not adjacent to it.
     """
@@ -348,49 +255,3 @@ def diaster_swap_permutation(n: TemporalNetwork, m: TemporalNetwork) -> SwapScri
         raise IsotemporalError("internal error: script did not reach the target")
     return tuple(steps)
 
-
-class TransferReport(NamedTuple):
-    """Whether class counts transfer between two graphs.
-
-    holds is true when some edge bijection preserves adjacency both ways
-    and conjugation by it carries one edge automorphism group onto the
-    other; witness is that bijection.  failed_condition names the first
-    condition that could not be met ('edge-adjacency' or
-    'edge-automorphisms').
-    """
-
-    holds: bool
-    witness: Optional[tuple[int, ...]]
-    failed_condition: Optional[str]
-
-
-def _line_graph(g: Pseudograph) -> Pseudograph:
-    # one vertex per edge of g, joined when the two edges are adjacent; a loop
-    # at each vertex, so that the search binds isolated edges in every way
-    return Pseudograph.from_edges(g.edge_count, [(e, e) for e in range(g.edge_count)] + sorted(adjacency(g).pairs))
-
-
-def check_transfer_conditions(g: Pseudograph, h: Pseudograph) -> TransferReport:
-    """Search for an edge bijection preserving adjacency both ways (an
-    isomorphism of line graphs), then check it conjugates the edge
-    automorphism groups onto each other: with equal orders, generators (T
-    and swaps of consecutive twins) conjugating into the other suffice."""
-    if g.edge_count != h.edge_count:
-        raise ValueError("graphs must have equal edge counts")
-    t = g.edge_count
-    aut_g, aut_h = edge_automorphism_group(g), edge_automorphism_group(h)
-    generators = list(aut_g.transversal) + [
-        tuple(f if x == e else e if x == f else x for x in range(t)) for c in aut_g.twin_classes for e, f in zip(c, c[1:])
-    ]
-    lg, lh = _line_graph(g), _line_graph(h)
-    candidates = _candidates(lg.edge_kinds, lh.edge_kinds)
-
-    def conjugates(phi: tuple[int, ...], _) -> bool:  # phi o p o phi^-1 in aut_h for every generator p
-        inverse = sorted(range(t), key=phi.__getitem__)
-        return all([phi[p[e]] for e in inverse] in aut_h for p in generators)
-
-    if aut_g.order == aut_h.order and (found := _first(lg, lh, candidates, conjugates, None)):
-        return TransferReport(True, found.vertex_map, None)
-    if _first(lg, lh, candidates, lambda phi, _: True, None) is None:
-        return TransferReport(False, None, "edge-adjacency")
-    return TransferReport(False, None, "edge-automorphisms")

@@ -29,10 +29,6 @@ class CountResult(NamedTuple):
     value: Optional[int]
     basis: str
 
-    @property
-    def covered(self) -> bool:
-        return self.value is not None
-
 
 def diaster_formula(a: int, b: int) -> CountResult:
     """ab + a + b + 1 for a != b, (a^2 + 3a + 2) / 2 for a = b; symmetric."""

@@ -22,8 +22,8 @@ the transversal T of automorphisms increasing on every twin class, one per
 coset of N, so |Aut| = |T| * prod |C|!.  A labeling's canonical form sorts
 its labels inside each twin class and takes the minimum over T; canonical
 vectors are the class-sorted vectors no element of T lowers.  T is itself a
-subgroup (Aut = T ⋉ N), so membership class-sorts a map's images and looks
-the result up in T; ``.elements`` is a derived view the package never builds.
+subgroup (Aut = T ⋉ N); ``.elements`` is a derived view the package never
+builds.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class EdgeIsomorphism(NamedTuple):
     vertex_map: tuple[int, ...]
     edge_map: tuple[int, ...]
 
-    def map_sequence(self, seq: tuple[int, ...]) -> tuple[int, ...]:
-        em = self.edge_map
-        return tuple(em[e] for e in seq)
-
 
 class EdgePermutationGroup(_Record):
     """An edge automorphism group as twin classes plus a transversal.
@@ -82,14 +78,6 @@ class EdgePermutationGroup(_Record):
             nu = dict(zip(itertools.chain(*self.twin_classes), itertools.chain(*images)))
             out.extend(tuple(tau[nu[e]] for e in range(len(nu))) for tau in self.transversal)
         return tuple(sorted(out))
-
-    @cached_property
-    def _transversal_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.transversal)
-
-    def __contains__(self, p: Sequence[int]) -> bool:
-        """p = tau o nu iff sorting p's images inside each twin class gives tau."""
-        return _class_sorted(tuple(p), self.twin_classes) in self._transversal_set
 
 
 def _candidates(kinds_g: Sequence, kinds_h: Sequence) -> list[Sequence[int]]:
@@ -238,10 +226,6 @@ def label_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Optiona
     return _first(g, h, _candidates(*kinds), lambda vmap, emap: True, None)
 
 
-def is_label_isomorphic(n: TemporalNetwork, m: TemporalNetwork) -> bool:
-    return label_isomorphism_witness(n, m) is not None
-
-
 def temporal_isomorphism_witness(n: TemporalNetwork, m: TemporalNetwork) -> Optional[EdgeIsomorphism]:
     """The first pair, in (vertex map, edge map) order, carrying the
     temporal-path set of n exactly onto that of m, if one exists.
@@ -293,26 +277,12 @@ def canonical_labeling(n: TemporalNetwork) -> TemporalNetwork:
     return TemporalNetwork(n.graph, min(tuple(map(vec.__getitem__, p)) for p in group.transversal))
 
 
-def count_distinct_labelings(g: Pseudograph) -> int:
-    """Number of label-isomorphism classes of labelings of g.
-
-    The automorphism group acts freely on bijective labelings, so the
-    count is exactly t! / |group|.
-    """
-    t = g.edge_count
-    order = edge_automorphism_group(g).order
-    total = math.factorial(t)
-    if total % order:
-        raise IsotemporalError(f"{t}! not divisible by group order {order}")
-    return total // order
-
-
 @per_graph
 def canonical_label_vectors(g: Pseudograph) -> tuple[tuple[int, ...], ...]:
     """All canonical labelings of g, in lexicographic order.
 
     Each returned vector is the minimum of its orbit under the edge
-    automorphism group; there are exactly count_distinct_labelings(g).
+    automorphism group, which acts freely on labelings: there are t!/|Aut|.
     The candidates are the t!/|N| class-sorted vectors, labeled as the
     partition walk labels edges: label 1, 2, ... goes to an edge once its
     next-smaller twin has one.  One is kept iff no element of T lowers it.

@@ -141,8 +141,3 @@ def temporal_paths(network: TemporalNetwork) -> frozenset[TemporalPath]:
 def edge_sequences(network: TemporalNetwork) -> frozenset[tuple[int, ...]]:
     """Edge-id sequences of all temporal paths."""
     return frozenset(_enumerate(network))
-
-
-def max_temporal_path_length(network: TemporalNetwork) -> int:
-    """Length of the longest temporal path (0 for an edgeless network)."""
-    return max((len(seq) for seq in _enumerate(network)), default=0)

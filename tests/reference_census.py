@@ -6,17 +6,23 @@ a new one, as a loop on a new vertex, or as a new two-vertex component.
 Every graph arises so: deleting any edge and then the vertices it leaves
 isolated gives a graph of t - 1 edges with no isolated vertex.  One graph is
 kept per class: graphs are bucketed by (vertex count, sorted (degree, loops)
-pairs, sorted edge multiplicities) and compared by edge_isomorphisms within
-a bucket.  The counts 2, 7, 23, 79, 274, 1003 for t = 1..6 are those of
+pairs, sorted edge multiplicities), and a graph is kept unless the
+isomorphism search finds one isomorphism onto a graph already kept in its
+bucket.  The counts 2, 7, 23, 79, 274, 1003 for t = 1..6 are those of
 loopy multigraphs on t unlabeled edges with no isolated vertex.
 """
 
 from isotemporal import Pseudograph
-from isotemporal.iso import edge_isomorphisms
+from isotemporal.iso import SEARCH_LIMIT, _candidates, _edge_maps
+from reference_iso import degree, loop_count
+
+
+def _isomorphic(g, h):
+    return next(_edge_maps(g, h, _candidates(g.edge_kinds, h.edge_kinds), [SEARCH_LIMIT], None), None) is not None
 
 
 def _bucket(g):
-    vertices = sorted((g.degree(v), g.loop_count(v)) for v in g.vertices)
+    vertices = sorted((degree(g, v), loop_count(g, v)) for v in g.vertices)
     return g.vertex_count, tuple(vertices), tuple(sorted(map(len, g.parallel_classes.values())))
 
 
@@ -37,7 +43,7 @@ def census(t):
         for g in layer:
             for h in _grown(g):
                 kept = buckets.setdefault(_bucket(h), [])
-                if not any(edge_isomorphisms(h, k) for k in kept):
+                if not any(_isomorphic(h, k) for k in kept):
                     kept.append(h)
         layer = [g for kept in buckets.values() for g in kept]
         layers.append(layer)

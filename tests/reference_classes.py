@@ -1,7 +1,7 @@
 """Orbit indexing over every element of the automorphism group, the
-reference both partition routes are tested against, the signature
-partition of two-sided graphs, and the canonical labelings of a
-partition's classes, which the package never lists.
+reference both partition routes are tested against, the signature of a
+labeled two-sided graph and the partition it gives, and the canonical
+labelings of a partition's classes, which the package never lists.
 
 These are the brute-force and swap-closure bodies as they were before
 the package indexed the transversal alone: each class's first member has
@@ -15,8 +15,8 @@ so the package's shared label-order sweep is checked, not reused.
 import operator
 from types import SimpleNamespace
 
-from isotemporal import TemporalNetwork, adjacency, canonical_label_vectors, diaster_signature, edge_automorphism_group
-from isotemporal import classes, core
+from isotemporal import Diaster, Star, Stem, TemporalNetwork, adjacency, canonical_label_vectors
+from isotemporal import classes, core, edge_automorphism_group, generate
 from reference_paths import reference_edge_sequences
 
 
@@ -72,11 +72,23 @@ def reference_swap_blocks(g):
     return _finish_blocks(buckets)
 
 
-def signature_blocks(g):
+def signature_key(spec, labeling):
+    """The paper's complete class invariant of a labeling of a generated diaster or stem with
+    both sides non-empty: the central edge's label c and the count k of left edges (ids 1..a)
+    labeled below it, k folded with c - 1 - k when the two sides are the same graph."""
+    left, right = (Star(spec.a), Star(spec.b)) if isinstance(spec, Diaster) else (spec.left, spec.right)
+    c = labeling[0]
+    k = sum(labeling[e] < c for e in range(1, left.k + 1))
+    if generate(Stem(left, left)) == generate(Stem(left, right)):
+        k = min(k, c - 1 - k)
+    return c, k
+
+
+def signature_blocks(spec):
     """Canonical labelings of a generated two-sided graph grouped by signature key."""
     buckets = {}
-    for vec in canonical_label_vectors(g):
-        buckets.setdefault(diaster_signature(TemporalNetwork(g, vec)).key, []).append(vec)
+    for vec in canonical_label_vectors(generate(spec)):
+        buckets.setdefault(signature_key(spec, vec), []).append(vec)
     return _finish_blocks(buckets.values())
 
 

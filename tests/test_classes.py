@@ -1,6 +1,7 @@
 import functools
 import gc
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from isotemporal import (
     Star,
     Stem,
     TemporalNetwork,
+    adjacency,
     brute_force_classes,
     build_network,
     canonical_label_vectors,
@@ -48,6 +50,7 @@ from reference_classes import (
     reference_swap_blocks,
     split_largest_class,
 )
+from reference_transfer import check_transfer_conditions
 
 
 def pairwise_partition(g):
@@ -253,8 +256,25 @@ def test_partitions_coincide_on_every_pseudograph_of_at_most_six_edges():
     # the census holds one graph per isomorphism class, loops and parallel edges included
     layers = census(6)
     assert [len(layer) for layer in layers] == [2, 7, 23, 79, 274, 1003]
+    count, buckets = {}, {}
     for g in (g for layer in layers for g in layer):
-        assert compare_partitions(g, 6).equal, g
+        report = compare_partitions(g, 6)
+        assert report.equal, g
+        count[g] = report.temporal.class_count
+        degrees = tuple(sorted(map(len, adjacency(g).neighbors)))
+        buckets.setdefault((g.edge_count, degrees, edge_automorphism_group(g).order), []).append(g)
+    # the transfer theorem: graphs whose edge adjacencies and automorphisms correspond have
+    # equal counts; the conditions are sufficient, not necessary
+    pairs = met = equal_unmet = 0
+    for kept in buckets.values():
+        for g, h in itertools.combinations(kept, 2):
+            pairs += 1
+            if check_transfer_conditions(g, h).holds:
+                met += 1
+                assert count[g] == count[h], (g, h)
+            else:
+                equal_unmet += count[g] == count[h]
+    assert (pairs, met, equal_unmet) == (4870, 4361, 112)
 
 
 def test_compare_partitions_single_edge():

@@ -15,7 +15,6 @@ from isotemporal import (
     EdgePermutationGroup,
     Star,
     TemporalNetwork,
-    check_transfer_conditions,
     classes,
     cli,
     enumerate_family_specs,
@@ -29,6 +28,7 @@ from isotemporal import (
 from isotemporal.cli import EXIT_ERROR, EXIT_OK, run, verify
 from isotemporal.core import GRAPH_TABLE_SIZE, VERTEX_LIMIT, _file_graph
 from reference_classes import altered_swap_route, blocks_of, forget_graphs, split_largest_class
+from reference_transfer import check_transfer_conditions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(__file__).parent.parent / "src")

@@ -19,23 +19,20 @@ from isotemporal import (
     TemporalNetwork,
     adjacency,
     apply_swap_script,
-    binary_swap_sequence,
     brute_force_classes,
     build_network,
-    check_transfer_conditions,
-    diaster_signature,
     diaster_swap_permutation,
     edge_automorphism_group,
     enumerate_family_specs,
     generate,
-    is_label_isomorphic,
     is_temporal_isomorphic,
+    label_isomorphism_witness,
     parse_family_spec,
     spec_string,
 )
-from isotemporal.families import NotGeneratedFamilyError, TwoSidedShape, recognize_two_sided
-from reference_classes import blocks_of, signature_blocks
+from reference_classes import blocks_of, signature_blocks, signature_key
 from reference_iso import _vertex_bijections, pseudographs, relabeled, swapped
+from reference_transfer import check_transfer_conditions
 
 
 # -- generators ---------------------------------------------------------------
@@ -50,7 +47,7 @@ def test_diaster_1_1_is_a_three_edge_path():
 def test_daisy_2_is_one_vertex_two_loops():
     g = generate(Daisy(2))
     assert g.vertex_count == 1
-    assert all(g.is_loop(e) for e in range(2))
+    assert [pair for _, pair in g.edges] == [(0, 0), (0, 0)]
 
 
 def test_stem_of_two_single_daisies():
@@ -153,20 +150,17 @@ def test_enumerate_family_specs_bounds_and_order():
 
 
 def test_signature_diaster_1_1_reflected():
+    # central label 2, one left label below it, folded with its mirror
     n = build_network(generate(Diaster(1, 1)), [(0, 2), (1, 1), (2, 3)])
-    sig = diaster_signature(n)
-    assert sig.central_label == 2
-    assert sig.left_below == 1
-    assert sig.reflective
-    assert sig.key == (2, 0)
+    assert signature_key(Diaster(1, 1), n.labeling) == (2, 0)
+    assert signature_key(Diaster(1, 1), (2, 3, 1)) == (2, 0)
+    assert signature_key(Diaster(1, 2), (2, 1, 3, 4)) == (2, 1)
 
 
 def test_signature_with_lowest_central_label_forces_k_zero():
     g = generate(Diaster(4, 7))
     labels = [(0, 1)] + [(e, e + 1) for e in range(1, 12)]
-    sig = diaster_signature(build_network(g, labels))
-    assert sig.central_label == 1
-    assert sig.left_below == 0
+    assert signature_key(Diaster(4, 7), build_network(g, labels).labeling) == (1, 0)
 
 
 def test_feasible_signature_lattice_of_d_4_7_has_40_points():
@@ -181,11 +175,7 @@ def test_feasible_signature_lattice_of_d_4_7_has_40_points():
 
 
 def test_signature_keys_enumerate_classes_of_small_diaster():
-    g = generate(Diaster(1, 2))
-    keys = {
-        diaster_signature(TemporalNetwork(g, labels)).key
-        for labels in itertools.permutations(range(1, 5))
-    }
+    keys = {signature_key(Diaster(1, 2), labels) for labels in itertools.permutations(range(1, 5))}
     assert len(keys) == 6
 
 
@@ -194,13 +184,12 @@ def test_signature_partition_matches_brute_force():
     for spec in enumerate_family_specs(8):
         if not isinstance(spec, (Diaster, Stem)):
             continue
-        g = generate(spec)
-        assert signature_blocks(g) == blocks_of(brute_force_classes(g)), spec
+        assert signature_blocks(spec) == blocks_of(brute_force_classes(generate(spec))), spec
 
 
 def test_families_reads_nothing_from_the_partition_routes():
-    # signatures are an invariant, not a partition route; families must not
-    # lean on isotemporal.classes for anything
+    # swap scripts follow the isomorphism witnesses, not a partition route;
+    # families must not lean on isotemporal.classes for anything
     import ast
     from pathlib import Path
 
@@ -210,82 +199,6 @@ def test_families_reads_nothing_from_the_partition_routes():
     modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
     modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
     assert not {m for m in modules if m and m.split(".")[-1] == "classes"}
-
-
-def test_signature_rejects_non_generated_graphs():
-    with pytest.raises(NotGeneratedFamilyError):
-        recognize_two_sided(generate(Cycle(4)))
-    with pytest.raises(NotGeneratedFamilyError):
-        # a one-sided diaster degenerates to a star: central edge not invariant
-        recognize_two_sided(generate(Star(3)))
-
-
-def _recognized_by_every_layout(graph):
-    # the layout match as it was: every split a + b, every layout of each
-    t = graph.edge_count
-    side_types = (Star, Beachball, Daisy)
-    for a in range(1, t - 1 + 1):
-        b = t - 1 - a
-        if b < 1:
-            continue
-        if graph == generate(Diaster(a, b)):
-            return TwoSidedShape(a, b, a == b)
-        for left_type in side_types:
-            for right_type in side_types:
-                if graph == generate(Stem(left_type(a), right_type(b))):
-                    return TwoSidedShape(a, b, a == b and left_type is right_type)
-    return None
-
-
-def test_recognition_reads_the_split_from_the_graph():
-    one_sided = [Diaster(0, b) for b in range(1, 10)] + [Diaster(a, 0) for a in range(1, 10)]
-    graphs = [generate(s) for s in enumerate_family_specs(10, include_cycles=True) + one_sided]
-    graphs += [Pseudograph.from_edges(0, []), Pseudograph.from_edges(3, [])]
-    for g in graphs:
-        expected = _recognized_by_every_layout(g)
-        if expected is None:
-            with pytest.raises(NotGeneratedFamilyError):
-                recognize_two_sided(g)
-        else:
-            assert recognize_two_sided(g) == expected, g
-
-
-# -- binary swap sequences ------------------------------------------------------
-
-
-def test_binary_swap_equal_sequences_need_no_swaps():
-    assert binary_swap_sequence((0, 1, 0), (0, 1, 0)) == []
-
-
-def test_binary_swap_single_forced_swap():
-    assert binary_swap_sequence((0, 1), (1, 0)) == [(1, 2)]
-
-
-def test_binary_swap_rightmost_first_construction():
-    assert binary_swap_sequence((0, 0, 1), (1, 0, 0)) == [(2, 3), (1, 2)]
-
-
-def test_binary_swap_rejects_mismatches():
-    with pytest.raises(ValueError):
-        binary_swap_sequence((0, 1), (0, 1, 1))
-    with pytest.raises(ValueError):
-        binary_swap_sequence((0, 0), (1, 1))
-    with pytest.raises(ValueError):
-        binary_swap_sequence((0, 2), (2, 0))
-
-
-@given(data=st.data(), n=st.integers(min_value=1, max_value=10))
-def test_binary_swap_property(data, n):
-    a = data.draw(st.lists(st.integers(min_value=0, max_value=1), min_size=n, max_size=n))
-    b = list(a)
-    data.draw(st.randoms(use_true_random=False)).shuffle(b)
-    steps = binary_swap_sequence(a, b)
-    work = list(a)
-    for i, j in steps:
-        assert j == i + 1
-        assert work[i - 1] != work[j - 1]
-        work[i - 1], work[j - 1] = work[j - 1], work[i - 1]
-    assert work == b
 
 
 # -- swap scripts ----------------------------------------------------------------
@@ -327,7 +240,7 @@ def test_above_central_script_touches_only_high_labels():
     script = diaster_swap_permutation(n, m)
     assert len(script) > 0
     assert all(min(step.labels) > 1 for step in script)
-    assert is_label_isomorphic(apply_swap_script(n, script), m)
+    assert label_isomorphism_witness(apply_swap_script(n, script), m) is not None
 
 
 def test_script_steps_are_sequential_and_non_adjacent():
@@ -339,7 +252,7 @@ def test_script_steps_are_sequential_and_non_adjacent():
     for step in script:
         assert step.labels[1] == step.labels[0] + 1
         assert not adj.adjacent(*step.edges)
-    assert is_label_isomorphic(apply_swap_script(n, script), m)
+    assert label_isomorphism_witness(apply_swap_script(n, script), m) is not None
 
 
 def test_signature_mismatch_raises_no_script_error():
@@ -358,7 +271,7 @@ def test_cycle_gets_a_script():
     m = build_network(g, list(enumerate((1, 3, 5, 2, 4))))
     script = diaster_swap_permutation(n, m)
     assert [(s.labels, s.edges) for s in script] == [((1, 2), (0, 2)), ((3, 4), (1, 3))]
-    assert is_label_isomorphic(apply_swap_script(n, script), m)
+    assert label_isomorphism_witness(apply_swap_script(n, script), m) is not None
     with pytest.raises(NoSwapScriptError):
         diaster_swap_permutation(n, build_network(g, list(enumerate((1, 2, 3, 4, 5)))))
     # on a 4-cycle these partners are reflections of n (through the midpoints
@@ -367,7 +280,7 @@ def test_cycle_gets_a_script():
     n = build_network(g, list(enumerate((1, 3, 2, 4))))
     for labels in ((2, 3, 1, 4), (3, 1, 4, 2)):
         m = build_network(g, list(enumerate(labels)))
-        assert is_label_isomorphic(n, m)
+        assert label_isomorphism_witness(n, m) is not None
         assert len(diaster_swap_permutation(n, m)) == 0
 
 
@@ -376,7 +289,7 @@ def test_reflection_case_uses_the_mirror_target():
     n = build_network(g, [(0, 3), (1, 1), (2, 2), (3, 4), (4, 5)])
     m = build_network(g, [(0, 3), (1, 4), (2, 5), (3, 1), (4, 2)])
     script = diaster_swap_permutation(n, m)
-    assert is_label_isomorphic(apply_swap_script(n, script), m)
+    assert label_isomorphism_witness(apply_swap_script(n, script), m) is not None
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,7 +323,7 @@ def test_script_exists_iff_temporally_isomorphic(g, rng):
     assert (script is not None) == is_temporal_isomorphic(n, m) == oracle
     assert script is not None or not partner
     if script is not None:
-        assert (len(script) == 0) == is_label_isomorphic(n, m)
+        assert (len(script) == 0) == (label_isomorphism_witness(n, m) is not None)
         # independent replay: sequential labels on non-adjacent edges
         labeling = list(a)
         for step in script:
@@ -418,7 +331,7 @@ def test_script_exists_iff_temporally_isomorphic(g, rng):
             assert hi == lo + 1 and (labeling[e1], labeling[e2]) == (lo, hi)
             assert (e1, e2) not in pairs and (e2, e1) not in pairs
             labeling[e1], labeling[e2] = hi, lo
-        assert is_label_isomorphic(TemporalNetwork(g, tuple(labeling)), m)
+        assert label_isomorphism_witness(TemporalNetwork(g, tuple(labeling)), m) is not None
 
 
 # -- transfer conditions ---------------------------------------------------------

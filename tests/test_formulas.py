@@ -95,7 +95,6 @@ def test_stem_formula_mixed_equal_parameters_not_covered():
     result = stem_formula(Stem(Star(2), Daisy(2)))
     assert result.value is None
     assert result.basis == BASIS_NOT_COVERED
-    assert not result.covered
 
 
 def test_stem_formula_covers_all_unequal_type_combinations():
