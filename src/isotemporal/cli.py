@@ -1,16 +1,21 @@
 """Command-line front end.
 
+COMMANDS gives each command its handler, positionals and options. One loop reads an
+argument list into the arguments a handler reads, as argparse read it (--opt value,
+--opt=value, a unique prefix of a long option, -oVALUE, '--') and with its usage-error
+texts; -h or --help prints the usage built from the table.
+
 Exit codes: 0 success, 1 domain or usage errors (bad spec, limit
 exceeded), 2 when a verification run finds disagreeing counts.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 import time
+from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
 
 from . import families, formulas
@@ -34,11 +39,6 @@ EXIT_DISAGREE = 2
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 def _load_network(path: str):
@@ -199,10 +199,10 @@ def _cmd_paths(args) -> int:
     """One line per temporal path, '<labels> | <trace>', sorted by label sequence and
     printed in one write; nothing for an edgeless network."""
     network = _load_network(args.file)
-    label = network.labeling.__getitem__
-    found = sorted((tuple(map(label, p.edge_ids)), p.trace) for p in temporal_paths(network))
+    labeling, text = network.labeling, list(map(str, network.labeling))  # labels are distinct: no ties
+    found = sorted(temporal_paths(network), key=lambda p: [labeling[e] for e in p.edge_ids])
     if found:
-        print("\n".join(f"{' '.join(map(str, labels))} | {' '.join(map(str, trace))}" for labels, trace in found))
+        print("\n".join(f"{' '.join([text[e] for e in p.edge_ids])} | {' '.join(map(str, p.trace))}" for p in found))
     return EXIT_OK
 
 
@@ -283,79 +283,127 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    # the type of --limit and --max-edges: a bound below 1 is a usage error
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+_REQUIRED, _ONE_OF = object(), object()  # the defaults of a required option and of one of a required pair
+_FORMAT = (("text", "json"), "text")
+_FORMAT_LIMIT = {"--format": _FORMAT, "--limit": (int, DEFAULT_EDGE_LIMIT)}
+# command -> (handler, positionals, options); an option '--name' or '-x/--name' -> (kind, default), its kind
+# a tuple of choices, str, int (a bound: at least 1) or bool (a flag)
+COMMANDS = {
+    "count": (_cmd_count, (), {"--family": (str, _REQUIRED),
+              "--method": (("formula", "lattice", "brute", "swap", "all"), "all"), **_FORMAT_LIMIT}),
+    "classes": (_cmd_classes, (), {"--family": (str, _ONE_OF), "--graph": (str, _ONE_OF),
+                "--method": (("brute", "swap", "both"), "both"), "--representatives": (bool, False), **_FORMAT_LIMIT}),
+    "iso": (_cmd_iso, ("file_a", "file_b"), {}),
+    "paths": (_cmd_paths, ("file",), {}),
+    "swapscript": (_cmd_swapscript, ("file_a", "file_b"), {}),
+    "verify": (_cmd_verify, (), {"--max-edges": (int, 6), "--format": _FORMAT, "--no-timing": (bool, False)}),
+    "generate": (_cmd_generate, (), {"--family": (str, _REQUIRED), "-o/--output": (str, None)}),
+}
+_HELP = "-h/--help"
+_NAMES = {command: {n: key for key in (_HELP, *spec[2]) for n in key.split("/")} for command, spec in COMMANDS.items()}
+_DEST = {key: key.split("/")[-1][2:].replace("-", "_") for spec in COMMANDS.values() for key in spec[2]}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="isotemporal", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser("count", help="count isotemporal classes of a family")
-    count.add_argument("--family", required=True)
-    count.add_argument("--method", choices=["formula", "lattice", "brute", "swap", "all"], default="all")
-    count.add_argument("--format", choices=["text", "json"], default="text")
-    count.add_argument("--limit", type=_positive_int, default=DEFAULT_EDGE_LIMIT)
-    count.set_defaults(func=_cmd_count)
-
-    cls = sub.add_parser("classes", help="partition labelings into isotemporal classes")
-    target = cls.add_mutually_exclusive_group(required=True)
-    target.add_argument("--family")
-    target.add_argument("--graph")
-    cls.add_argument("--method", choices=["brute", "swap", "both"], default="both")
-    cls.add_argument("--representatives", action="store_true")
-    cls.add_argument("--format", choices=["text", "json"], default="text")
-    cls.add_argument("--limit", type=_positive_int, default=DEFAULT_EDGE_LIMIT)
-    cls.set_defaults(func=_cmd_classes)
-
-    iso = sub.add_parser("iso", help="test two network files for isomorphism")
-    iso.add_argument("file_a")
-    iso.add_argument("file_b")
-    iso.set_defaults(func=_cmd_iso)
-
-    paths = sub.add_parser("paths", help="list temporal paths of a network file")
-    paths.add_argument("file")
-    paths.set_defaults(func=_cmd_paths)
-
-    swapscript = sub.add_parser("swapscript", help="construct a sequential-swap script between two labelings")
-    swapscript.add_argument("file_a")
-    swapscript.add_argument("file_b")
-    swapscript.set_defaults(func=_cmd_swapscript)
-
-    ver = sub.add_parser("verify", help="cross-check all counting methods over the family corpus")
-    ver.add_argument("--max-edges", type=_positive_int, default=6)
-    ver.add_argument("--format", choices=["text", "json"], default="text")
-    ver.add_argument("--no-timing", action="store_true")
-    ver.set_defaults(func=_cmd_verify)
-
-    gen = sub.add_parser("generate", help="write a family graph as a network file")
-    gen.add_argument("--family", required=True)
-    gen.add_argument("-o", "--output")
-    gen.set_defaults(func=_cmd_generate)
-
-    return parser
+def _usage() -> str:
+    lines = []
+    for command, (_, positionals, options) in COMMANDS.items():
+        words = [command, *map(str.upper, positionals)]
+        for key, (kind, default) in options.items():
+            word = f"{key} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{key} {_DEST[key].upper()}"
+            word = key if kind is bool else word
+            words.append(word if default is _REQUIRED else f"({word})" if default is _ONE_OF else f"[{word}]")
+        lines.append(" ".join(words).replace(") (", " | "))
+    return "usage: " + "\n       ".join(f"isotemporal {line}" for line in [*lines, f"[COMMAND] {_HELP}"])
 
 
-_parser = functools.cache(build_parser)  # built on the first run, not at import
+def _option(token: str, names: dict[str, str]):
+    """None for a value, else (option, explicit value or None), the option None if unknown: as argparse
+    read a token, by its name, NAME=VALUE, -xVALUE or a unique prefix of a long name."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return names[token], None
+    head, eq, value = token.partition("=")
+    if eq and head in names:
+        found = [(head, value)]
+    elif token[1] != "-":
+        found = [(token[:2], token[2:])] if token[:2] in names else []
+    else:
+        found = [(n, value if eq else None) for n in names if n.startswith(head)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(n for n, _ in found)}")
+    if found:
+        return names[found[0][0]], found[0][1]
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
+
+
+def _parse(argv: Sequence[str]):
+    """(handler, arguments) for argv, or None for -h/--help.  A fault raises UsageError with argparse's
+    text: a bad option when it is met, then what is missing, then what is left over."""
+    spec, names, given, extras, wanted, rest, chosen = None, {"-h": _HELP, "--help": _HELP}, {}, [], [], False, None
+    for token in (tokens := iter(argv)):
+        option = None if rest or token == "--" else _option(token, names)
+        if option is None and spec is None:
+            if token not in COMMANDS:
+                choices = ", ".join(map(repr, COMMANDS))
+                raise UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            spec, names, wanted = COMMANDS[token], _NAMES[token], list(COMMANDS[token][1])
+        elif option is None and token == "--" and not rest:
+            rest = True  # every later token is a positional; a command that takes one drops the '--'
+            extras += [] if spec[1] else [token]
+        elif option is None and wanted:
+            given[wanted.pop(0)] = token
+        elif option is None or option[0] is None:
+            extras.append(token)
+        elif option == (_HELP, None):
+            return None
+        else:
+            key, value = option
+            kind, default = spec[2][key] if key in _DEST else (bool, None)
+            if kind is bool:
+                if value is not None:
+                    raise UsageError(f"argument {key}: ignored explicit argument {value!r}")
+                value = True
+            elif value is None:
+                value = next(tokens, "--")
+                if value == "--" or _option(value, names) is not None:
+                    raise UsageError(f"argument {key}: expected one argument")
+            if isinstance(kind, tuple) and value not in kind:
+                choices = ", ".join(map(repr, kind))
+                raise UsageError(f"argument {key}: invalid choice: {value!r} (choose from {choices})")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"argument {key}: invalid int value: {value!r}") from None
+                if value < 1:
+                    raise UsageError(f"argument {key}: must be at least 1, got {value}")
+            if default is _ONE_OF:
+                if chosen not in (None, key):
+                    raise UsageError(f"argument {key}: not allowed with argument {chosen}")
+                chosen = key
+            given[_DEST[key]] = value
+    if spec is None:
+        raise UsageError("the following arguments are required: command")
+    if missing := wanted + [k for k, (_, d) in spec[2].items() if d is _REQUIRED and _DEST[k] not in given]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if chosen is None and (pair := [k for k, (_, d) in spec[2].items() if d is _ONE_OF]):
+        raise UsageError(f"one of the arguments {' '.join(pair)} is required")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return spec[0], SimpleNamespace(**{_DEST[k]: None if d is _ONE_OF else d for k, (_, d) in spec[2].items()} | given)
 
 
 def run(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            print(_usage())
+            return EXIT_OK
+        return parsed[0](parsed[1])
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        print(f"usage error: {exc}\n{_usage()}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        return args.func(args)
     except IsotemporalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
