@@ -12,6 +12,8 @@ bucket.  The counts 2, 7, 23, 79, 274, 1003 for t = 1..6 are those of
 loopy multigraphs on t unlabeled edges with no isolated vertex.
 """
 
+import functools
+
 from isotemporal import Pseudograph
 from isotemporal.iso import SEARCH_LIMIT, _candidates, _edge_maps
 from reference_iso import degree, loop_count
@@ -35,8 +37,10 @@ def _grown(g):
     yield Pseudograph.from_edges(n + 2, pairs + [(n, n + 1)])
 
 
+@functools.cache
 def census(t):
-    """The graphs of 1..t edges, one per isomorphism class: a list per edge count."""
+    """The graphs of 1..t edges, one per isomorphism class: a list per edge count.  Built once per
+    t and process and shared by every caller, so callers must not change the lists."""
     layers, layer = [], [Pseudograph.from_edges(0, [])]
     for _ in range(t):
         buckets = {}

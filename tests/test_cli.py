@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -44,6 +45,13 @@ def test_count_formula_prints_value(capsys):
     code, out, _ = run_capture(capsys, ["count", "--family", "diaster:4,7", "--method", "formula"])
     assert code == EXIT_OK
     assert out == "40\n"
+    # the other spellings argparse took: NAME=VALUE, a unique prefix, a repeated option (the last wins)
+    for argv in (
+        ["count", "--family=star:3", "--method", "formula"],
+        ["count", "--fam", "star:3", "--meth=formula"],
+        ["count", "--family", "diaster:4,7", "--family", "star:3", "--method", "formula"],
+    ):
+        assert run_capture(capsys, argv) == (EXIT_OK, "1\n", ""), argv
 
 
 def test_count_all_agrees(capsys):
@@ -90,6 +98,59 @@ def test_unknown_flag_exits_one_with_usage(capsys):
     code, _, err = run_capture(capsys, ["count", "--family", "star:1", "--wat"])
     assert code == EXIT_ERROR
     assert "usage" in err
+
+
+COMMANDS = ("count", "classes", "iso", "paths", "swapscript", "verify", "generate")
+COMMAND_CHOICES = ", ".join(map(repr, COMMANDS))
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ([], "the following arguments are required: command"),
+        (["counts"], f"argument command: invalid choice: 'counts' (choose from {COMMAND_CHOICES})"),
+        (["count", "--family", "star:1", "--wat", "x"], "unrecognized arguments: --wat x"),
+        (["count", "--method", "formula"], "the following arguments are required: --family"),
+        (["count", "--family", "star:1", "--method", "exact"],
+         "argument --method: invalid choice: 'exact' (choose from 'formula', 'lattice', 'brute', 'swap', 'all')"),
+        (["count", "--method", "formula", "--family"], "argument --family: expected one argument"),
+        (["generate", "--family", "star:1", "-o"], "argument -o/--output: expected one argument"),
+        (["count", "--f", "star:1"], "ambiguous option: --f could match --family, --format"),
+        (["classes", "--family", "star:1", "--graph", "g"], "argument --graph: not allowed with argument --family"),
+        (["classes", "--method", "brute"], "one of the arguments --family --graph is required"),
+        (["iso", "a.net"], "the following arguments are required: file_b"),
+        (["paths", "a.net", "b.net"], "unrecognized arguments: b.net"),
+        (["verify", "--no-timing=yes"], "argument --no-timing: ignored explicit argument 'yes'"),
+    ],
+)
+def test_usage_errors_keep_argparse_texts(capsys, argv, reason):
+    # each text as argparse gave it, then the usage of every command
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    first, usage = err.split("\n", 1)
+    assert first == f"usage error: {reason}"
+    assert usage.startswith("usage: isotemporal count --family FAMILY [--method {formula,lattice,brute,swap,all}]")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [[], *([c] for c in COMMANDS)])
+def test_help_prints_the_usage_and_exits_zero(capsys, command, flag):
+    code, out, err = run_capture(capsys, [*command, flag])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: isotemporal count ") and "isotemporal generate --family FAMILY" in out
+
+
+def test_every_readme_cli_example_parses():
+    # parsed only, not run: the README's examples and the parser stay in step
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    examples = [line for line in lines if line.startswith("isotemporal ")]
+    assert len(examples) >= 9
+    for line in examples:
+        argv = shlex.split(line, comments=True)[1:]
+        parsed = cli._parse(argv)  # raises UsageError on a list the CLI refuses
+        assert parsed is None or parsed[0] is cli.COMMANDS[argv[0]][0], line
 
 
 def test_limit_exceeded_exits_one(capsys):
@@ -266,8 +327,9 @@ def test_cli_entry_point_via_interpreter():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up time on every command; -S keeps site's own imports out of the count
-    code = "import sys, isotemporal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # each costs start-up time on every command, and argparse also builds a parser on the first run;
+    # -S keeps site's own imports out of the count
+    code = "import sys, isotemporal.cli; print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
